@@ -98,33 +98,33 @@ let run ?engine ~delta config ~workload ~failures ~until ~seed =
     packets_dropped = result.Engine.packets_dropped;
   }
 
-(* Byte codec over the shared field framing, so the baseline can run on
+(* Byte codec over the shared wire primitives, so the baseline can run on
    the bus for wall-clock comparisons against VStoTO and Skeen. *)
 
-module W = Gcs_impl.Wire
+module W = Gcs_impl.Wire.Writer
+module R = Gcs_impl.Wire.Reader
 
-let ( let* ) = Result.bind
-
-let encode_packet = function
-  | Request { origin; value } ->
-      W.Framing.encode [ "r"; string_of_int origin; value ]
+let write_packet w = function
+  | Request { origin; value } -> W.tag w 'r'; W.int w origin; W.string w value
   | Ordered { seq; origin; value } ->
-      W.Framing.encode [ "o"; string_of_int seq; string_of_int origin; value ]
+      W.tag w 'o'; W.int w seq; W.int w origin; W.string w value
 
-let decode_packet s =
-  let* fs = W.fields_of "sequencer packet" s in
-  match fs with
-  | [ "r"; origin; value ] ->
-      let* origin = W.int_of "request.origin" origin in
-      Ok (Request { origin; value })
-  | [ "o"; seq; origin; value ] ->
-      let* seq = W.int_of "ordered.seq" seq in
-      let* origin = W.int_of "ordered.origin" origin in
-      Ok (Ordered { seq; origin; value })
-  | _ -> Error (Printf.sprintf "sequencer packet: unknown shape %S" s)
+let read_packet r =
+  match R.tag r with
+  | 'r' ->
+      let origin = R.int r in
+      Request { origin; value = R.string r }
+  | 'o' ->
+      let seq = R.int r in
+      let origin = R.int r in
+      Ordered { seq; origin; value = R.string r }
+  | c -> R.fail r "sequencer packet: unknown tag %C" c
 
 let packet_codec : packet Gcs_transport.Iface.codec =
-  { enc = encode_packet; dec = decode_packet }
+  Gcs_impl.Wire.codec write_packet read_packet
+
+let encode_packet = packet_codec.enc
+let decode_packet = packet_codec.dec
 
 let run_on ?metrics ?stop ~backend config ~workload ~failures ~until ~seed =
   let (module B : Gcs_transport.Iface.BACKEND) = backend in

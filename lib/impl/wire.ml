@@ -31,320 +31,220 @@ let fresh_token viewid =
 
 (* ---- Byte codec -------------------------------------------------------
 
-   Field framing in the style of [Gcs_apps.Codec] (which sits above this
-   library in the dependency order and cannot be reused here): fields are
-   joined with '|', escaping '%' and '|'; the empty record gets the
-   marker "%n", which escaping can never produce. Nested records are just
-   fields, so structures compose by re-encoding — the innermost level is
-   escaped the most. *)
+   One pass over one buffer. A frame is a sequence of items: a one-byte
+   constructor tag, an int as a zigzag LEB128 varint, a string as its
+   length then its bytes, a list as its count then its elements. Nesting
+   costs nothing: a payload byte is copied once on encode and once on
+   decode, whatever its depth, and a nested record adds no separators. *)
 
-module F = struct
-  let escape field =
-    let buf = Buffer.create (String.length field + 4) in
-    String.iter
-      (fun c ->
-        match c with
-        | '%' -> Buffer.add_string buf "%p"
-        | '|' -> Buffer.add_string buf "%b"
-        | c -> Buffer.add_char buf c)
-      field;
-    Buffer.contents buf
+module Writer = struct
+  type t = Buffer.t
 
-  let unescape field =
-    let buf = Buffer.create (String.length field) in
-    let n = String.length field in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
-      else
-        match field.[i] with
-        | '%' ->
-            if i + 1 >= n then None
-            else (
-              match field.[i + 1] with
-              | 'p' ->
-                  Buffer.add_char buf '%';
-                  go (i + 2)
-              | 'b' ->
-                  Buffer.add_char buf '|';
-                  go (i + 2)
-              | _ -> None)
-        | '|' -> None
-        | c ->
-            Buffer.add_char buf c;
-            go (i + 1)
+  let tag = Buffer.add_char
+
+  (* Zigzag folds the sign into bit 0, so small negatives stay short;
+     LEB128 then emits 7 bits per byte, low group first, high bit set on
+     every byte but the last. A 63-bit int takes at most 9 bytes. *)
+  let int w n =
+    let rec go z =
+      if z land lnot 0x7f = 0 then Buffer.add_char w (Char.chr z)
+      else (
+        Buffer.add_char w (Char.chr (z land 0x7f lor 0x80));
+        go (z lsr 7))
     in
-    go 0
+    go ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
-  let empty_marker = "%n"
-
-  let encode fields =
-    match fields with
-    | [] -> empty_marker
-    | _ -> String.concat "|" (List.map escape fields)
-
-  let decode s =
-    if String.equal s empty_marker then Some []
-    else
-      let raw = String.split_on_char '|' s in
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | f :: rest -> (
-            match unescape f with Some u -> go (u :: acc) rest | None -> None)
-      in
-      go [] raw
+  let string w s = int w (String.length s); Buffer.add_string w s
+  let list w f xs = int w (List.length xs); List.iter (f w) xs
 end
 
-module Framing = struct
-  let encode = F.encode
-  let decode = F.decode
+module Reader = struct
+  type t = { frame : string; mutable pos : int }
+
+  (* Raised by the readers below and caught only by [codec], the one
+     place a [Reader.t] is created, so it never escapes a decoder. *)
+  exception Malformed of string
+
+  let fail r fmt =
+    Printf.ksprintf
+      (fun m -> raise (Malformed (Printf.sprintf "%s (at byte %d)" m r.pos)))
+      fmt
+
+  let remaining r = String.length r.frame - r.pos
+
+  let tag r =
+    if r.pos >= String.length r.frame then fail r "frame ends early"
+    else begin
+      let c = r.frame.[r.pos] in
+      r.pos <- r.pos + 1;
+      c
+    end
+
+  (* Canonical encodings only: a zero final byte after the first is an
+     overlong varint, and a tenth byte cannot exist. *)
+  let int r =
+    let rec go acc shift =
+      let b = Char.code (tag r) in
+      if b = 0 && shift > 0 then fail r "overlong varint"
+      else
+        let acc = acc lor ((b land 0x7f) lsl shift) in
+        if b < 0x80 then acc
+        else if shift >= 56 then fail r "varint longer than 9 bytes"
+        else go acc (shift + 7)
+    in
+    let z = go 0 0 in
+    (z lsr 1) lxor -(z land 1)
+
+  (* Checked against the bytes left before anything is allocated: a
+     string byte or a list element takes at least one frame byte. *)
+  let length r what =
+    let n = int r in
+    if n < 0 then fail r "negative %s %d" what n
+    else if n > remaining r then
+      fail r "%s %d exceeds the %d bytes left" what n (remaining r)
+    else n
+
+  let string r =
+    let n = length r "string length" in
+    let s = String.sub r.frame r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let list r f =
+    let rec go acc k = if k = 0 then List.rev acc else go (f r :: acc) (k - 1) in
+    go [] (length r "list count")
 end
 
-let ( let* ) = Result.bind
-let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
-
-let fields_of label s =
-  match F.decode s with
-  | Some fs -> Ok fs
-  | None -> errf "%s: bad framing in %S" label s
-
-let int_of label s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> errf "%s: not an integer: %S" label s
-
-let enc_list enc xs = F.encode (List.map enc xs)
-
-let dec_list label dec s =
-  let* fs = fields_of label s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | f :: rest ->
-        let* x = dec f in
-        go (x :: acc) rest
+let codec write read : _ Gcs_transport.Iface.codec =
+  let enc p =
+    let w = Buffer.create 64 in
+    write w p;
+    Buffer.contents w
   in
-  go [] fs
-
-let enc_viewid (v : View_id.t) =
-  F.encode [ string_of_int v.num; string_of_int v.origin ]
-
-let dec_viewid s =
-  let* fs = fields_of "viewid" s in
-  match fs with
-  | [ num; origin ] ->
-      let* num = int_of "viewid.num" num in
-      let* origin = int_of "viewid.origin" origin in
-      Ok (View_id.make ~num ~origin)
-  | _ -> errf "viewid: expected 2 fields in %S" s
-
-let enc_label (l : Label.t) =
-  F.encode [ enc_viewid l.id; string_of_int l.seqno; string_of_int l.origin ]
-
-let dec_label s =
-  let* fs = fields_of "label" s in
-  match fs with
-  | [ id; seqno; origin ] ->
-      let* id = dec_viewid id in
-      let* seqno = int_of "label.seqno" seqno in
-      let* origin = int_of "label.origin" origin in
-      Ok (Label.make ~id ~seqno ~origin)
-  | _ -> errf "label: expected 3 fields in %S" s
-
-let enc_viewid_opt = function
-  | None -> F.encode [ "n" ]
-  | Some v -> F.encode [ "s"; enc_viewid v ]
-
-let dec_viewid_opt s =
-  let* fs = fields_of "viewid?" s in
-  match fs with
-  | [ "n" ] -> Ok None
-  | [ "s"; v ] ->
-      let* v = dec_viewid v in
-      Ok (Some v)
-  | _ -> errf "viewid?: malformed %S" s
-
-let enc_summary (x : Summary.t) =
-  F.encode
-    [
-      enc_list
-        (fun (l, v) -> F.encode [ enc_label l; v ])
-        (Label.Map.bindings x.con);
-      enc_list enc_label x.ord;
-      string_of_int x.next;
-      enc_viewid_opt x.high;
-    ]
-
-let dec_summary s =
-  let* fs = fields_of "summary" s in
-  match fs with
-  | [ con; ord; next; high ] ->
-      let* con =
-        dec_list "summary.con"
-          (fun f ->
-            let* fs = fields_of "summary.con entry" f in
-            match fs with
-            | [ l; v ] ->
-                let* l = dec_label l in
-                Ok (l, v)
-            | _ -> errf "summary.con entry: malformed %S" f)
-          con
-      in
-      let* ord = dec_list "summary.ord" dec_label ord in
-      let* next = int_of "summary.next" next in
-      let* high = dec_viewid_opt high in
-      Ok
-        (Summary.make
-           ~con:
-             (List.fold_left
-                (fun m (l, v) -> Label.Map.add l v m)
-                Label.Map.empty con)
-           ~ord ~next ~high)
-  | _ -> errf "summary: expected 4 fields in %S" s
-
-let enc_entry (l, v) = F.encode [ enc_label l; v ]
-
-let dec_entry s =
-  let* fs = fields_of "batch.entry" s in
-  match fs with
-  | [ l; v ] ->
-      let* l = dec_label l in
-      Ok (l, v)
-  | _ -> errf "batch.entry: expected 2 fields in %S" s
-
-let enc_msg = function
-  | Msg.App (l, v) -> F.encode [ "a"; enc_label l; v ]
-  | Msg.Batch entries -> F.encode [ "b"; enc_list enc_entry entries ]
-  | Msg.Summary x -> F.encode [ "s"; enc_summary x ]
-
-let dec_msg s =
-  let* fs = fields_of "msg" s in
-  match fs with
-  | [ "a"; l; v ] ->
-      let* l = dec_label l in
-      Ok (Msg.App (l, v))
-  | [ "b"; entries ] ->
-      let* entries = dec_list "batch" dec_entry entries in
-      Ok (Msg.Batch entries)
-  | [ "s"; x ] ->
-      let* x = dec_summary x in
-      Ok (Msg.Summary x)
-  | _ -> errf "msg: malformed %S" s
-
-let enc_proc_counts m =
-  enc_list
-    (fun (p, c) -> F.encode [ string_of_int p; string_of_int c ])
-    (Proc.Map.bindings m)
-
-let dec_proc_counts label s =
-  let* entries =
-    dec_list label
-      (fun f ->
-        let* fs = fields_of label f in
-        match fs with
-        | [ p; c ] ->
-            let* p = int_of label p in
-            let* c = int_of label c in
-            Ok (p, c)
-        | _ -> errf "%s: malformed entry %S" label f)
-      s
+  let dec frame =
+    let r = { Reader.frame; pos = 0 } in
+    match read r with
+    | p when Reader.remaining r = 0 -> Ok p
+    | _ -> Error (Printf.sprintf "%d trailing bytes" (Reader.remaining r))
+    | exception Reader.Malformed e -> Error e
   in
-  Ok (List.fold_left (fun m (p, c) -> Proc.Map.add p c m) Proc.Map.empty entries)
+  { enc; dec }
 
-let enc_token enc_m (t : 'm token) =
-  F.encode
-    [
-      enc_viewid t.viewid;
-      enc_list
-        (fun e ->
-          F.encode [ string_of_int e.idx; string_of_int e.src; enc_m e.msg ])
-        t.entries;
-      string_of_int t.next_idx;
-      enc_proc_counts t.delivered;
-      enc_proc_counts t.safe_acked;
-      enc_proc_counts t.appended;
-    ]
+module W = Writer
+module R = Reader
 
-let dec_token dec_m s =
-  let* fs = fields_of "token" s in
-  match fs with
-  | [ viewid; entries; next_idx; delivered; safe_acked; appended ] ->
-      let* viewid = dec_viewid viewid in
-      let* entries =
-        dec_list "token.entries"
-          (fun f ->
-            let* fs = fields_of "token entry" f in
-            match fs with
-            | [ idx; src; msg ] ->
-                let* idx = int_of "token entry.idx" idx in
-                let* src = int_of "token entry.src" src in
-                let* msg = dec_m msg in
-                Ok { idx; src; msg }
-            | _ -> errf "token entry: malformed %S" f)
-          entries
-      in
-      let* next_idx = int_of "token.next_idx" next_idx in
-      let* delivered = dec_proc_counts "token.delivered" delivered in
-      let* safe_acked = dec_proc_counts "token.safe_acked" safe_acked in
-      let* appended = dec_proc_counts "token.appended" appended in
-      Ok { viewid; entries; next_idx; delivered; safe_acked; appended }
-  | _ -> errf "token: expected 6 fields in %S" s
+let write_viewid w (v : View_id.t) = W.int w v.num; W.int w v.origin
 
-let enc_view (v : View.t) =
-  F.encode
-    [ enc_viewid v.id; enc_list string_of_int (Proc.Set.elements v.set) ]
+let read_viewid r =
+  let num = R.int r in
+  View_id.make ~num ~origin:(R.int r)
 
-let dec_view s =
-  let* fs = fields_of "view" s in
-  match fs with
-  | [ id; set ] ->
-      let* id = dec_viewid id in
-      let* members = dec_list "view.set" (int_of "view member") set in
-      Ok (View.make id members)
-  | _ -> errf "view: expected 2 fields in %S" s
+let write_label w (l : Label.t) =
+  write_viewid w l.id; W.int w l.seqno; W.int w l.origin
 
-let encode_packet enc_m = function
-  | Newgroup { viewid } -> F.encode [ "ng"; enc_viewid viewid ]
-  | Accept { viewid } -> F.encode [ "ac"; enc_viewid viewid ]
+let read_label r =
+  let id = read_viewid r in
+  let seqno = R.int r in
+  Label.make ~id ~seqno ~origin:(R.int r)
+
+let write_entry w (l, v) = write_label w l; W.string w v
+
+let read_entry r =
+  let l = read_label r in
+  (l, R.string r)
+
+let write_summary w (x : Summary.t) =
+  W.list w write_entry (Label.Map.bindings x.con);
+  W.list w write_label x.ord;
+  W.int w x.next;
+  match x.high with
+  | None -> W.tag w 'n'
+  | Some v -> W.tag w 's'; write_viewid w v
+
+let read_summary r =
+  let con = R.list r read_entry in
+  let ord = R.list r read_label in
+  let next = R.int r in
+  let high =
+    match R.tag r with
+    | 'n' -> None
+    | 's' -> Some (read_viewid r)
+    | c -> R.fail r "summary.high: unknown tag %C" c
+  in
+  let con = List.fold_left (fun m (l, v) -> Label.Map.add l v m) Label.Map.empty con in
+  Summary.make ~con ~ord ~next ~high
+
+let write_msg w = function
+  | Msg.App (l, v) -> W.tag w 'a'; write_entry w (l, v)
+  | Msg.Batch entries -> W.tag w 'b'; W.list w write_entry entries
+  | Msg.Summary x -> W.tag w 's'; write_summary w x
+
+let read_msg r =
+  match R.tag r with
+  | 'a' -> let l, v = read_entry r in Msg.App (l, v)
+  | 'b' -> Msg.Batch (R.list r read_entry)
+  | 's' -> Msg.Summary (read_summary r)
+  | c -> R.fail r "msg: unknown tag %C" c
+
+let write_counts w m =
+  W.list w (fun w (p, c) -> W.int w p; W.int w c) (Proc.Map.bindings m)
+
+let read_counts r =
+  let read_pair r = let p = R.int r in (p, R.int r) in
+  List.fold_left (fun m (p, c) -> Proc.Map.add p c m) Proc.Map.empty (R.list r read_pair)
+
+let write_token write_m w (t : 'm token) =
+  write_viewid w t.viewid;
+  W.list w (fun w e -> W.int w e.idx; W.int w e.src; write_m w e.msg) t.entries;
+  W.int w t.next_idx;
+  List.iter (write_counts w) [ t.delivered; t.safe_acked; t.appended ]
+
+let read_token read_m r =
+  let viewid = read_viewid r in
+  let read_entry r =
+    let idx = R.int r in
+    let src = R.int r in
+    { idx; src; msg = read_m r }
+  in
+  let entries = R.list r read_entry in
+  let next_idx = R.int r in
+  let delivered = read_counts r in
+  let safe_acked = read_counts r in
+  let appended = read_counts r in
+  { viewid; entries; next_idx; delivered; safe_acked; appended }
+
+let write_packet write_m w = function
+  | Newgroup { viewid } -> W.tag w 'g'; write_viewid w viewid
+  | Accept { viewid } -> W.tag w 'a'; write_viewid w viewid
   | Nack { viewid; proposed_num } ->
-      F.encode [ "nk"; enc_viewid viewid; string_of_int proposed_num ]
-  | ViewMsg { view } -> F.encode [ "vm"; enc_view view ]
-  | Token t -> F.encode [ "tk"; enc_token enc_m t ]
-  | Probe { viewid_num } -> F.encode [ "pb"; string_of_int viewid_num ]
+      W.tag w 'k'; write_viewid w viewid; W.int w proposed_num
+  | ViewMsg { view } ->
+      W.tag w 'v'; write_viewid w view.id; W.list w W.int (Proc.Set.elements view.set)
+  | Token t -> W.tag w 't'; write_token write_m w t
+  | Probe { viewid_num } -> W.tag w 'p'; W.int w viewid_num
 
-let decode_packet dec_m s =
-  let* fs = fields_of "packet" s in
-  match fs with
-  | [ "ng"; viewid ] ->
-      let* viewid = dec_viewid viewid in
-      Ok (Newgroup { viewid })
-  | [ "ac"; viewid ] ->
-      let* viewid = dec_viewid viewid in
-      Ok (Accept { viewid })
-  | [ "nk"; viewid; proposed_num ] ->
-      let* viewid = dec_viewid viewid in
-      let* proposed_num = int_of "nack.proposed_num" proposed_num in
-      Ok (Nack { viewid; proposed_num })
-  | [ "vm"; view ] ->
-      let* view = dec_view view in
-      Ok (ViewMsg { view })
-  | [ "tk"; token ] ->
-      let* token = dec_token dec_m token in
-      Ok (Token token)
-  | [ "pb"; viewid_num ] ->
-      let* viewid_num = int_of "probe.viewid_num" viewid_num in
-      Ok (Probe { viewid_num })
-  | _ -> errf "packet: unknown shape %S" s
+let read_packet read_m r =
+  match R.tag r with
+  | 'g' -> Newgroup { viewid = read_viewid r }
+  | 'a' -> Accept { viewid = read_viewid r }
+  | 'k' ->
+      let viewid = read_viewid r in
+      Nack { viewid; proposed_num = R.int r }
+  | 'v' ->
+      let id = read_viewid r in
+      ViewMsg { view = View.make id (R.list r R.int) }
+  | 't' -> Token (read_token read_m r)
+  | 'p' -> Probe { viewid_num = R.int r }
+  | c -> R.fail r "packet: unknown tag %C" c
 
-let packet_codec ~enc_msg ~dec_msg : _ Gcs_transport.Iface.codec =
-  {
-    enc = encode_packet enc_msg;
-    dec = decode_packet dec_msg;
-  }
+let packet_codec ~write_msg ~read_msg =
+  codec (write_packet write_msg) (read_packet read_msg)
 
 let msg_packet_codec : Msg.t packet Gcs_transport.Iface.codec =
-  packet_codec ~enc_msg ~dec_msg
+  packet_codec ~write_msg ~read_msg
 
 let string_packet_codec : string packet Gcs_transport.Iface.codec =
-  packet_codec ~enc_msg:(fun s -> s) ~dec_msg:(fun s -> Ok s)
+  packet_codec ~write_msg:W.string ~read_msg:R.string
 
 let pp_packet ppf = function
   | Newgroup { viewid } -> Format.fprintf ppf "newgroup(%a)" View_id.pp viewid

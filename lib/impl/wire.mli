@@ -35,20 +35,83 @@ type 'm packet =
 val fresh_token : View_id.t -> 'm token
 val pp_packet : Format.formatter -> 'm packet -> unit
 
+(** {2 Framing primitives}
+
+    The writer/reader pair under every codec in this module, exported so
+    sibling wire formats (the Skeen and sequencer backends) share one
+    format and one totality argument instead of inventing a second. *)
+
+module Writer : sig
+  type t
+  (** An append-only frame buffer. *)
+
+  val tag : t -> char -> unit
+  (** A one-byte constructor tag. *)
+
+  val int : t -> int -> unit
+  (** A zigzag LEB128 varint. *)
+
+  val string : t -> string -> unit
+  (** A length-prefixed byte string. *)
+
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
+  (** A count-prefixed list, each element written by [f]. *)
+end
+
+module Reader : sig
+  type t
+  (** A cursor over one frame. Every reader advances it past what it
+      read, or aborts the decode with a message; only {!codec} creates a
+      cursor and turns that abort into [Error]. *)
+
+  val tag : t -> char
+  val int : t -> int
+
+  val string : t -> string
+  (** Rejects a negative length, or one past the bytes left. *)
+
+  val list : t -> (t -> 'a) -> 'a list
+  (** Rejects a negative count, or one past the bytes left (every
+      element takes at least one byte). *)
+
+  val fail : t -> ('a, unit, string, 'b) format4 -> 'a
+  (** Abort the decode, e.g. on an unknown tag. *)
+end
+
+val codec :
+  (Writer.t -> 'p -> unit) -> (Reader.t -> 'p) -> 'p Gcs_transport.Iface.codec
+(** [codec write read]: encoding runs [write] over a fresh buffer;
+    decoding runs [read] over the whole frame and returns [Error] when it
+    aborts or leaves trailing bytes. This is the one codec boundary: no
+    exception from the readers escapes it. *)
+
 (** {2 Byte codec}
 
     Serialization for real transports ({!Gcs_transport.Bus} and, later,
-    sockets): every packet constructor round-trips through a flat field
-    encoding (['|']-separated, ['%']-escaped, so arbitrary payload bytes
-    survive). The simulator moves packets by value and never touches
-    this path. Decoding is total — malformed bytes yield [Error], never
-    an exception or a guessed packet. *)
+    sockets). The simulator moves packets by value and never touches
+    this path.
+
+    A frame is one flat byte string, written in a single pass: a one-byte
+    constructor tag, then the constructor's fields in declaration order.
+    An int is a zigzag LEB128 varint (sign folded into bit 0, 7 bits per
+    byte, low group first, at most 9 bytes, no redundant zero byte); a
+    string is its length as a varint, then its raw bytes, unescaped; a
+    list or map is its count as a varint, then its elements. Nested
+    records are just their fields, so a payload byte costs one byte at
+    any depth and is copied once each way.
+
+    Decoding is total: a malformed frame — unknown tag, truncation, a
+    length or count past the bytes left, an overlong varint, trailing
+    bytes — yields [Error], never an exception or a guessed packet, and
+    nothing is allocated for a length before it is checked against the
+    frame. *)
 
 val packet_codec :
-  enc_msg:('m -> string) ->
-  dec_msg:(string -> ('m, string) result) ->
+  write_msg:(Writer.t -> 'm -> unit) ->
+  read_msg:(Reader.t -> 'm) ->
   'm packet Gcs_transport.Iface.codec
-(** Codec for packets over any payload type, given a payload codec. *)
+(** Codec for packets over any payload type, given the payload's writer
+    and reader. *)
 
 val msg_packet_codec : Msg.t packet Gcs_transport.Iface.codec
 (** The full VStoTO wire format: packets carrying labelled application
@@ -56,33 +119,3 @@ val msg_packet_codec : Msg.t packet Gcs_transport.Iface.codec
 
 val string_packet_codec : string packet Gcs_transport.Iface.codec
 (** Packets over raw string payloads (tests and simple clients). *)
-
-(** {2 Field framing}
-
-    The framing primitive under every codec in this module, exported so
-    sibling wire formats (the Skeen and sequencer backends, application
-    codecs) compose with the same escaping discipline instead of
-    inventing a second one: fields join with ['|'], escaping ['%'] and
-    ['|']; the empty field list gets a marker that escaping can never
-    produce. Nested records are just fields, so structures compose by
-    re-encoding — the innermost level is escaped the most. *)
-
-module Framing : sig
-  val encode : string list -> string
-
-  val decode : string -> string list option
-  (** Total: [None] on malformed bytes (stray ['%'], bare ['|'] inside a
-      field), never an exception. *)
-end
-
-val fields_of : string -> string -> (string list, string) result
-(** [fields_of label s] is {!Framing.decode} in the [result] error style
-    of the decoders here, with [label] naming the field in the error. *)
-
-val int_of : string -> string -> (int, string) result
-
-val enc_list : ('a -> string) -> 'a list -> string
-(** Encode a list as one field (each element [enc]-ed, then framed). *)
-
-val dec_list :
-  string -> (string -> ('a, string) result) -> string -> ('a list, string) result

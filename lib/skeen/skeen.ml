@@ -249,61 +249,45 @@ let handlers config =
 
 (* ----------------------------- byte codec ---------------------------- *)
 
-module W = Gcs_impl.Wire
+module W = Gcs_impl.Wire.Writer
+module R = Gcs_impl.Wire.Reader
 
-let ( let* ) = Result.bind
-let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
+let write_mid w (m : mid) = W.int w m.sender; W.int w m.seq
+let write_ts w (t : ts) = W.int w t.clock; W.int w t.origin
 
-let enc_mid (m : mid) =
-  W.Framing.encode [ string_of_int m.sender; string_of_int m.seq ]
+let read_mid r =
+  let sender = R.int r in
+  { sender; seq = R.int r }
 
-let dec_mid s =
-  let* fs = W.fields_of "mid" s in
-  match fs with
-  | [ sender; seq ] ->
-      let* sender = W.int_of "mid.sender" sender in
-      let* seq = W.int_of "mid.seq" seq in
-      Ok { sender; seq }
-  | _ -> errf "mid: expected 2 fields in %S" s
+let read_ts r =
+  let clock = R.int r in
+  { clock; origin = R.int r }
 
-let enc_ts (t : ts) =
-  W.Framing.encode [ string_of_int t.clock; string_of_int t.origin ]
-
-let dec_ts s =
-  let* fs = W.fields_of "ts" s in
-  match fs with
-  | [ clock; origin ] ->
-      let* clock = W.int_of "ts.clock" clock in
-      let* origin = W.int_of "ts.origin" origin in
-      Ok { clock; origin }
-  | _ -> errf "ts: expected 2 fields in %S" s
-
-let encode_packet = function
+let write_packet w = function
   | Propose { mid; value; dests } ->
-      W.Framing.encode
-        [ "p"; enc_mid mid; value; W.enc_list string_of_int dests ]
-  | Proposal { mid; ts } -> W.Framing.encode [ "q"; enc_mid mid; enc_ts ts ]
-  | Commit { mid; ts } -> W.Framing.encode [ "c"; enc_mid mid; enc_ts ts ]
+      W.tag w 'p'; write_mid w mid; W.string w value; W.list w W.int dests
+  | Proposal { mid; ts } -> W.tag w 'q'; write_mid w mid; write_ts w ts
+  | Commit { mid; ts } -> W.tag w 'c'; write_mid w mid; write_ts w ts
 
-let decode_packet s =
-  let* fs = W.fields_of "skeen packet" s in
-  match fs with
-  | [ "p"; mid; value; dests ] ->
-      let* mid = dec_mid mid in
-      let* dests = W.dec_list "propose.dests" (W.int_of "propose.dest") dests in
-      Ok (Propose { mid; value; dests })
-  | [ "q"; mid; ts ] ->
-      let* mid = dec_mid mid in
-      let* ts = dec_ts ts in
-      Ok (Proposal { mid; ts })
-  | [ "c"; mid; ts ] ->
-      let* mid = dec_mid mid in
-      let* ts = dec_ts ts in
-      Ok (Commit { mid; ts })
-  | _ -> errf "skeen packet: unknown shape %S" s
+let read_packet r =
+  match R.tag r with
+  | 'p' ->
+      let mid = read_mid r in
+      let value = R.string r in
+      Propose { mid; value; dests = R.list r R.int }
+  | 'q' ->
+      let mid = read_mid r in
+      Proposal { mid; ts = read_ts r }
+  | 'c' ->
+      let mid = read_mid r in
+      Commit { mid; ts = read_ts r }
+  | c -> R.fail r "skeen packet: unknown tag %C" c
 
 let packet_codec : packet Gcs_transport.Iface.codec =
-  { enc = encode_packet; dec = decode_packet }
+  Gcs_impl.Wire.codec write_packet read_packet
+
+let encode_packet = packet_codec.enc
+let decode_packet = packet_codec.dec
 
 let pp_packet ppf = function
   | Propose { mid; value; dests } ->

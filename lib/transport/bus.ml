@@ -16,6 +16,17 @@ type tamper = { swap_inputs_at : (Proc.t * int) option }
 
 let no_tamper = { swap_inputs_at = None }
 
+exception
+  Undecodable of { src : Proc.t; dst : Proc.t; bytes : string; error : string }
+
+let () =
+  Printexc.register_printer (function
+    | Undecodable { src; dst; bytes; error } ->
+        Some
+          (Printf.sprintf "Bus.Undecodable: %d-byte packet %d -> %d: %s"
+             (String.length bytes) src dst error)
+    | _ -> None)
+
 (* What travels through a mailbox: serialized packets from peers (and
    self), or client inputs injected by the controller. *)
 type 'input envelope = Packet of { src : Proc.t; data : string } | Input of 'input
@@ -137,10 +148,8 @@ let run (type state input packet out) ?(config = default_config)
           match codec.Iface.dec data with
           | Ok packet ->
               handle (fun s -> handlers.Iface.on_packet me ~now ~src packet s)
-          | Error e ->
-              failwith
-                (Printf.sprintf "bus: undecodable packet %d -> %d: %s" src me e)
-          )
+          | Error error ->
+              raise (Undecodable { src; dst = me; bytes = data; error }))
     in
     (* Lexicographic (deadline, id) minimum: the winner is the same
        whatever order the fold visits entries in. *)

@@ -59,6 +59,12 @@ type tamper = {
 
 val no_tamper : tamper
 
+exception
+  Undecodable of { src : Proc.t; dst : Proc.t; bytes : string; error : string }
+(** The verdict for a packet the codec rejects at its destination: the
+    sending and receiving processors, the frame exactly as sent, and the
+    codec's [Error] message. *)
+
 val run :
   ?config:config ->
   ?tamper:tamper ->
@@ -100,8 +106,8 @@ val run :
     false divergence. Inputs preloaded at time [<= 0] bypass admission
     but count toward [index].
 
-    A handler exception (or a codec [Error]) on any node stops the whole
-    run and re-raises in the caller.
+    A handler exception on any node stops the whole run and re-raises
+    in the caller; so does a codec [Error], raised as {!Undecodable}.
 
     [lock_registry] enrolls every bus lock (status matrix, trace, delay
     wheel, observe serializer, one per mailbox) in a

@@ -211,6 +211,66 @@ let test_lamport_faster_than_token () =
     true
     (lamport_latency < vstoto_latency)
 
+(* ------------------------------ codec -------------------------------- *)
+
+open QCheck
+
+let gen_proc = Gen.int_range 0 9
+
+(* Full byte range: no byte may be special to the frame. *)
+let gen_value = Gen.(string_size ~gen:char (int_range 0 30))
+
+let gen_packet =
+  Gen.oneof
+    [
+      Gen.map2
+        (fun origin value -> Sequencer.Request { origin; value })
+        gen_proc gen_value;
+      Gen.map3
+        (fun seq origin value -> Sequencer.Ordered { seq; origin; value })
+        (Gen.int_range 0 99999) gen_proc gen_value;
+    ]
+
+let print_packet = function
+  | Sequencer.Request { origin; value } ->
+      Printf.sprintf "request(%d,%S)" origin value
+  | Sequencer.Ordered { seq; origin; value } ->
+      Printf.sprintf "ordered(%d,%d,%S)" seq origin value
+
+let equal_packet a b =
+  match (a, b) with
+  | Sequencer.Request a, Sequencer.Request b ->
+      Proc.equal a.origin b.origin && String.equal a.value b.value
+  | Sequencer.Ordered a, Sequencer.Ordered b ->
+      a.seq = b.seq && Proc.equal a.origin b.origin && String.equal a.value b.value
+  | _ -> false
+
+let qcheck_roundtrip =
+  Test.make ~name:"sequencer packet codec roundtrips" ~count:500
+    (make ~print:print_packet gen_packet)
+    (fun p ->
+      match Sequencer.decode_packet (Sequencer.encode_packet p) with
+      | Ok p' -> equal_packet p p'
+      | Error e -> Test.fail_reportf "decode failed: %s" e)
+
+let qcheck_decode_total =
+  Test.make ~name:"sequencer packet decode is total" ~count:1000
+    (make Gen.(string_size ~gen:char (int_range 0 60)))
+    (fun s ->
+      match Sequencer.decode_packet s with Ok _ | Error _ -> true)
+
+let qcheck_truncation_total =
+  Test.make ~name:"sequencer packet decode is total on every truncation"
+    ~count:300 (make ~print:print_packet gen_packet)
+    (fun p ->
+      let s = Sequencer.encode_packet p in
+      List.for_all
+        (fun cut ->
+          match Sequencer.decode_packet (String.sub s 0 cut) with
+          | Ok _ -> false
+          | Error _ -> true)
+        (List.init (String.length s) Fun.id))
+
 let () =
   Alcotest.run "baseline"
     [
@@ -235,4 +295,7 @@ let () =
           Alcotest.test_case "faster than the token when stable" `Quick
             test_lamport_faster_than_token;
         ] );
+      ( "codec",
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_roundtrip; qcheck_decode_total; qcheck_truncation_total ] );
     ]

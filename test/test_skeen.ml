@@ -275,6 +275,18 @@ let qcheck_decode_total =
     (fun s ->
       match Skeen.decode_packet s with Ok _ | Error _ -> true)
 
+let qcheck_truncation_total =
+  Test.make ~name:"skeen packet decode is total on every truncation" ~count:300
+    (make ~print:(Format.asprintf "%a" Skeen.pp_packet) gen_packet)
+    (fun p ->
+      let s = Skeen.encode_packet p in
+      List.for_all
+        (fun cut ->
+          match Skeen.decode_packet (String.sub s 0 cut) with
+          | Ok _ -> false
+          | Error _ -> true)
+        (List.init (String.length s) Fun.id))
+
 let () =
   Alcotest.run "skeen"
     [
@@ -294,5 +306,5 @@ let () =
         ] );
       ( "codec",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_roundtrip; qcheck_decode_total ] );
+          [ qcheck_roundtrip; qcheck_decode_total; qcheck_truncation_total ] );
     ]

@@ -263,6 +263,45 @@ let mailbox_tests =
         test_recv_race_push_close;
     ] )
 
+(* ------------------------------------------------------------------ *)
+(* A frame the codec rejects ends the bus run with a typed verdict naming
+   the link and carrying the frame, not an anonymous [Failure]. *)
+
+let test_undecodable () =
+  let codec =
+    {
+      I.enc = Fun.id;
+      dec =
+        (fun s -> if String.equal s "poison" then Error "poisoned frame" else Ok s);
+    }
+  in
+  let inputs =
+    [
+      (0.01, 0, { dst = 1; payload = "fine" });
+      (0.02, 0, { dst = 1; payload = "poison" });
+    ]
+  in
+  match
+    Gcs_transport.Bus.run codec ~procs ~handlers:relay_handlers
+      ~init:(fun _ -> ())
+      ~inputs ~failures:[] ~until:5.0 ~seed:42
+  with
+  | _ -> Alcotest.fail "the run ended without a verdict"
+  | exception Gcs_transport.Bus.Undecodable { src; dst; bytes; error } ->
+      Alcotest.(check int) "src" 0 src;
+      Alcotest.(check int) "dst" 1 dst;
+      Alcotest.(check string) "bytes" "poison" bytes;
+      Alcotest.(check string) "error" "poisoned frame" error
+
 let () =
   Alcotest.run "transport contract"
-    [ contract_tests sim_profile; contract_tests bus_profile; mailbox_tests ]
+    [
+      contract_tests sim_profile;
+      contract_tests bus_profile;
+      mailbox_tests;
+      ( "bad packets",
+        [
+          Alcotest.test_case "undecodable frame is a typed verdict" `Quick
+            test_undecodable;
+        ] );
+    ]

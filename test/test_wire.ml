@@ -3,8 +3,9 @@
    Every packet constructor of the Section 8 protocol must survive
    encode/decode byte-for-byte over arbitrary payload bytes — including
    the framing characters '|' and '%', empty strings, empty views, empty
-   token maps and pathologically long values — and decoding arbitrary or
-   truncated bytes must return [Error], never raise. *)
+   token maps and pathologically long values — and decoding arbitrary,
+   truncated, flipped or hand-built hostile bytes must return [Error],
+   never raise. *)
 
 open Gcs_core
 module Wire = Gcs_impl.Wire
@@ -254,6 +255,117 @@ let test_garbage_rejected () =
             (Format.asprintf "%a" Wire.pp_packet p))
     [ ""; "zz"; "tk"; "ng"; "ng|x"; "tk|1|0|notanint"; "vm|1|0"; "%n%n" ]
 
+(* ------------------------- hostile frames --------------------------- *)
+
+(* The format spelled out independently of [Wire.Writer]: a zigzag
+   LEB128 varint. Hand-built frames below use it. *)
+let zz n =
+  let buf = Buffer.create 10 in
+  let rec go z =
+    if z land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr z)
+    else (
+      Buffer.add_char buf (Char.chr (z land 0x7f lor 0x80));
+      go (z lsr 7))
+  in
+  go ((n lsl 1) lxor (n asr (Sys.int_size - 1)));
+  Buffer.contents buf
+
+let test_format_pinned () =
+  Alcotest.(check string) "probe" ("p" ^ zz 3) (enc (Wire.Probe { viewid_num = 3 }));
+  Alcotest.(check string) "negative probe" ("p" ^ zz (-3))
+    (enc (Wire.Probe { viewid_num = -3 }));
+  List.iter
+    (fun n ->
+      match dec ("p" ^ zz n) with
+      | Ok (Wire.Probe { viewid_num }) ->
+          Alcotest.(check int) (Printf.sprintf "varint %d" n) n viewid_num
+      | Ok _ | Error _ -> Alcotest.failf "varint %d did not decode" n)
+    [ 0; 1; -1; 63; 64; -64; -65; 1 lsl 40; max_int; min_int ]
+
+(* A token frame cut just before its single [App] entry's value string. *)
+let app_prefix =
+  String.concat ""
+    [ "t"; zz 3; zz 1; zz 1; zz 0; zz 0; "a"; zz 3; zz 1; zz 1; zz 0 ]
+
+(* [dec s] must be [Error], and must not allocate more than a small
+   multiple of the frame, whatever its prefixes claim. *)
+let check_hostile name s =
+  let before = Gc.minor_words () in
+  let result = dec s in
+  let words = Gc.minor_words () -. before in
+  (match result with
+  | Error _ -> ()
+  | Ok p ->
+      Alcotest.failf "%s: decoded to %s" name (Format.asprintf "%a" Wire.pp_packet p));
+  if words > float_of_int (1024 + (8 * String.length s)) then
+    Alcotest.failf "%s: allocated %.0f words on a %d-byte frame" name words
+      (String.length s)
+
+let test_hostile_frames () =
+  (* next_idx, then empty delivered/safe_acked/appended maps *)
+  let tail = zz 2 ^ zz 0 ^ zz 0 ^ zz 0 in
+  (match dec (app_prefix ^ zz 3 ^ "abc" ^ tail) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "hand-built frame failed to decode: %s" e);
+  check_hostile "length past the end" (app_prefix ^ zz 10 ^ "abc");
+  check_hostile "length past the end, huge" (app_prefix ^ zz max_int ^ "abc");
+  check_hostile "count of 2^60" ("t" ^ zz 3 ^ zz 1 ^ zz (1 lsl 60) ^ "xyz");
+  check_hostile "batch count of 2^60"
+    ("t" ^ zz 3 ^ zz 1 ^ zz 1 ^ zz 0 ^ zz 0 ^ "b" ^ zz (1 lsl 60));
+  check_hostile "11-byte varint" ("p" ^ String.make 10 '\x80' ^ "\x01");
+  check_hostile "10-byte varint" ("p" ^ String.make 9 '\xff' ^ "\x01");
+  check_hostile "overlong zero" ("p" ^ "\x80\x00");
+  check_hostile "negative zigzag length" (app_prefix ^ zz (-5) ^ "abcde");
+  check_hostile "negative zigzag count" ("t" ^ zz 3 ^ zz 1 ^ zz (-1));
+  check_hostile "one trailing byte" (enc (Wire.Probe { viewid_num = 3 }) ^ "x");
+  check_hostile "unknown tag" ("?" ^ zz 3)
+
+(* The burst workload's token: one entry carrying a 2,500-value batch. *)
+let big_batch_frame =
+  lazy
+    (enc
+       (batch_packet
+          (List.init 2500 (fun i ->
+               (Label.make ~id:vid ~seqno:(i + 1) ~origin:0, Printf.sprintf "v%d" i)))))
+
+let test_big_batch_truncations () =
+  let s = Lazy.force big_batch_frame in
+  for cut = 0 to String.length s - 1 do
+    match dec (String.sub s 0 cut) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "prefix of %d/%d bytes decoded" cut (String.length s)
+  done
+
+let test_big_batch_flips () =
+  let s = Lazy.force big_batch_frame in
+  let b = Bytes.of_string s in
+  for i = 0 to Bytes.length b - 1 do
+    let c = Bytes.get b i in
+    Bytes.set b i (Char.chr (Char.code c lxor 0xff));
+    (match dec (Bytes.to_string b) with Ok _ | Error _ -> ());
+    Bytes.set b i c
+  done
+
+(* Every value byte costs one frame byte and each entry a bounded header,
+   even for values made only of '|' and '%'. A framing that escaped them
+   once per nesting level (a batched value sits seven levels deep) would
+   blow far past this bound. *)
+let test_frame_size_pin () =
+  let k = 200 in
+  let values =
+    List.init k (fun i ->
+        String.init (1 + (i mod 40)) (fun j -> if (i + j) mod 2 = 0 then '|' else '%'))
+  in
+  let entries =
+    List.mapi (fun i v -> (Label.make ~id:vid ~seqno:(i + 1) ~origin:0, v)) values
+  in
+  let size = String.length (enc (batch_packet entries)) in
+  let payload = List.fold_left (fun acc v -> acc + String.length v) 0 values in
+  let c = 16 in
+  if size > payload + (c * k) then
+    Alcotest.failf "%d values of %d payload bytes framed in %d bytes (> %d)" k
+      payload size (payload + (c * k))
+
 let () =
   Alcotest.run "wire codec"
     [
@@ -268,6 +380,17 @@ let () =
           Alcotest.test_case "batched frame truncation is total" `Quick
             test_batch_truncation_total;
           Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
+        ] );
+      ( "format",
+        [
+          Alcotest.test_case "varints pinned" `Quick test_format_pinned;
+          Alcotest.test_case "hostile frames rejected" `Quick test_hostile_frames;
+          Alcotest.test_case "2,500-value token: every truncation" `Quick
+            test_big_batch_truncations;
+          Alcotest.test_case "2,500-value token: every byte flip" `Quick
+            test_big_batch_flips;
+          Alcotest.test_case "frame size is payload plus a header per value"
+            `Quick test_frame_size_pin;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
