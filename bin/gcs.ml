@@ -34,7 +34,7 @@ let delta_arg =
 let pi_arg =
   Arg.(
     value & opt float 8.0
-    & info [ "pi" ] ~docv:"PI" ~doc:"Token creation spacing π (must exceed nδ).")
+    & info [ "pi" ] ~docv:"PI" ~doc:"Heartbeat spacing π of an idle token (must exceed nδ).")
 
 let mu_arg =
   Arg.(
@@ -1405,7 +1405,8 @@ let bus_cmd =
 let load_cmd =
   (* The Skeen backend has no batching layer: every submission is its own
      propose/commit exchange addressed to the full group, so --window is
-     ignored and the report's batch columns are structurally zero. *)
+     ignored and the report's batch and token columns are structurally
+     zero. *)
   let run_skeen backend n count rate seed json =
     let procs = Proc.all ~n in
     let config = Gcs_skeen.Skeen.make_config ~procs in
@@ -1454,7 +1455,7 @@ let load_cmd =
     let client_rate = float_of_int deliveries /. wall in
     if json then
       Printf.printf
-        "{\"backend\":\"%s\",\"n\":%d,\"count_per_proc\":%d,\"rate_per_proc\":%g,\"batch_window\":null,\"submitted\":%d,\"client_deliveries\":%d,\"expected_deliveries\":%d,\"wall_s\":%.6f,\"client_msgs_per_s\":%.1f,\"packets_sent\":%d,\"gpsnd_batches\":0,\"batch_mean\":0.00,\"batch_max\":0}\n"
+        "{\"backend\":\"%s\",\"n\":%d,\"count_per_proc\":%d,\"rate_per_proc\":%g,\"batch_window\":null,\"submitted\":%d,\"client_deliveries\":%d,\"expected_deliveries\":%d,\"wall_s\":%.6f,\"client_msgs_per_s\":%.1f,\"packets_sent\":%d,\"gpsnd_batches\":0,\"batch_mean\":0.00,\"batch_max\":0,\"tokens_launched\":0}\n"
         backend_name n count rate total deliveries expected wall client_rate
         run.Gcs_skeen.Skeen.packets_sent
     else begin
@@ -1537,15 +1538,20 @@ let load_cmd =
           (c, sum /. float_of_int c, max_v)
       | _ -> (0, 0.0, 0.0)
     in
+    (* Heartbeat launches plus immediate relaunches: the rotation cost
+       of the delivered load. *)
+    let tokens =
+      Gcs_stdx.Metrics.counter run.To_service.metrics "vs.tokens_launched"
+    in
     if json then
       Printf.printf
-        "{\"backend\":\"%s\",\"n\":%d,\"count_per_proc\":%d,\"rate_per_proc\":%g,\"batch_window\":%s,\"submitted\":%d,\"client_deliveries\":%d,\"expected_deliveries\":%d,\"wall_s\":%.6f,\"client_msgs_per_s\":%.1f,\"packets_sent\":%d,\"gpsnd_batches\":%d,\"batch_mean\":%.2f,\"batch_max\":%.0f}\n"
+        "{\"backend\":\"%s\",\"n\":%d,\"count_per_proc\":%d,\"rate_per_proc\":%g,\"batch_window\":%s,\"submitted\":%d,\"client_deliveries\":%d,\"expected_deliveries\":%d,\"wall_s\":%.6f,\"client_msgs_per_s\":%.1f,\"packets_sent\":%d,\"gpsnd_batches\":%d,\"batch_mean\":%.2f,\"batch_max\":%.0f,\"tokens_launched\":%d}\n"
         backend_name n count rate
         (match batch_window with
         | None -> "null"
         | Some w -> Printf.sprintf "%g" w)
         total deliveries (n * total) wall client_rate
-        run.To_service.packets_sent batches batch_mean batch_max
+        run.To_service.packets_sent batches batch_mean batch_max tokens
     else begin
       Printf.printf
         "load: backend=%s n=%d count=%d/proc rate=%s/proc window=%s\n"
@@ -1558,8 +1564,10 @@ let load_cmd =
         "  %d submitted, %d/%d deliveries in %.2f wall s  ->  %.0f client \
          msgs/sec\n"
         total deliveries (n * total) wall client_rate;
-      Printf.printf "  %d packets, %d gpsnd batches (mean %.1f, max %.0f)\n"
-        run.To_service.packets_sent batches batch_mean batch_max
+      Printf.printf
+        "  %d packets, %d gpsnd batches (mean %.1f, max %.0f), %d tokens \
+         launched\n"
+        run.To_service.packets_sent batches batch_mean batch_max tokens
     end;
     if deliveries < n * total then
       `Error
@@ -1618,7 +1626,7 @@ let load_cmd =
        ~doc:
          "Open-loop load generator: fixed-rate client submissions through \
           the full VStoTO stack on the sim or bus backend, reporting \
-          wall-clock client throughput and batch sizes.")
+          wall-clock client throughput, batch sizes and tokens launched.")
     Term.(
       ret
         (const run $ backend_arg $ n_arg $ count_arg $ rate_arg $ window_arg

@@ -290,18 +290,29 @@ let process_token ?metrics config ~now ~launching state (tok : 'm Wire.token) =
   let rearm =
     Engine.Set_timer { id = timer_token_timeout; delay = token_timeout config }
   in
-  if am_leader && not launching then
-    (* Absorb; relaunch so that token creations are spaced by pi. *)
-    let () = count metrics "vs.token_roundtrips" in
-    let delay = max (config.delta /. 100.0) (state.last_launch +. config.pi -. now) in
-    ( { state with stored_token = Some tok; token_outstanding = false },
-      deliveries @ safes
-      @ [ rearm; Engine.Set_timer { id = timer_launch; delay } ] )
-  else
+  let forward state =
     let next = ring_successor view state.me in
     ( state,
       deliveries @ safes
       @ [ rearm; Engine.Send { dst = next; packet = Wire.Token tok } ] )
+  in
+  if am_leader && not launching then (
+    count metrics "vs.token_roundtrips";
+    if not (List.is_empty entries) then (
+      (* Entries not yet safe everywhere: relaunch at once, since every
+         member must see them on the next pass before they can become
+         safe and be pruned; within three rotations of the last pickup
+         the token is empty and falls back to the heartbeat below. *)
+      count metrics "vs.tokens_launched";
+      forward { state with last_launch = now })
+    else
+      (* Nothing pending: absorb, and launch again pi after the last
+         launch — the heartbeat the token-loss timeout relies on. *)
+      let delay = max (config.delta /. 100.0) (state.last_launch +. config.pi -. now) in
+      ( { state with stored_token = Some tok; token_outstanding = false },
+        deliveries @ safes
+        @ [ rearm; Engine.Set_timer { id = timer_launch; delay } ] ))
+  else forward state
 
 let launch_token ?metrics config ~now state =
   match state.current with
@@ -395,8 +406,8 @@ let on_start ?metrics ?first_launch_delay config me state =
                service's batch window — use this so every node's initial
                flush lands in its outbuf before any token can collect it,
                making the first rotation's pickup order clock-independent.
-               Subsequent launches (relaunch spacing, view installs) are
-               unaffected. *)
+               Subsequent launches (relaunches, heartbeats, view
+               installs) are unaffected. *)
             (state, [ probe; rearm; Engine.Set_timer { id = timer_launch; delay } ])
         | _ ->
             let state, effects = launch_token ?metrics config ~now:0.0 state in

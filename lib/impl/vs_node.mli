@@ -3,8 +3,12 @@ open Gcs_core
 (** One processor of the Section 8 VS implementation.
 
     Normal operation: the view is "held together" by a token launched by
-    the ring leader (the member with the smallest id) with spacing [pi];
-    the token carries the per-view message sequence, per-member delivery
+    the ring leader (the member with the smallest id). When the token
+    returns to the leader still carrying entries that are not yet safe at
+    every member, the leader relaunches it at once; when it returns empty
+    after pruning, the leader absorbs it and launches the next one [pi]
+    after the last launch, a heartbeat the token-loss timeout relies on.
+    The token carries the per-view message sequence, per-member delivery
     counts (from which safe notifications are derived) and per-member
     append counts. A missing token (timeout) or contact from a processor
     outside the current membership triggers the membership protocol:
@@ -19,7 +23,8 @@ open Gcs_core
 type config = {
   procs : Proc.t list;
   p0 : Proc.t list;
-  pi : float;  (** token creation spacing π (must exceed nδ) *)
+  pi : float;
+      (** heartbeat spacing π of an idle token (must exceed nδ) *)
   mu : float;  (** discovery-probe spacing μ *)
   delta : float;  (** good-link delay bound δ (for timeouts) *)
 }
@@ -43,15 +48,20 @@ val handlers :
   ('m state, 'm, 'm Wire.packet, 'm Vs_action.t) Gcs_sim.Engine.handlers
 (** Inputs are client messages ([gpsnd]); outputs are VS external
     actions. When [metrics] is given, the node counts [vs.*] events
-    into it: views installed, tokens launched, leader token round-trips
-    and membership rounds initiated.
+    into it: views installed, tokens launched ([vs.tokens_launched],
+    counting heartbeat launches and immediate relaunches of a token that
+    still carries entries), leader token round-trips
+    ([vs.token_roundtrips], every return to the leader) and membership
+    rounds initiated.
 
     [first_launch_delay]: defer the leader's {e first} token launch by
     that long instead of launching at [on_start]. Layers that stage
     client submissions (the TO service's batch window) set it past their
     initial flush, so whether the leader's own first batch boards the
     first rotation no longer depends on the backend's clock; launches
-    after view installs and the relaunch spacing are unaffected. *)
+    after view installs are unaffected. Later launches follow the usual
+    rule: immediately while the returned token carries entries, [pi]
+    after the last launch once it is empty. *)
 
 val client_send :
   config ->
@@ -102,4 +112,7 @@ val impl_d : config -> float
 (** Conservative safe-delivery bound for this variant: a message waits up
     to π for a token, a full round delivers it everywhere (earlier ring
     positions see it on the following pass), and safe notifications
-    propagate on one more pass — 3(π + nδ) plus two hops of slack. *)
+    propagate on one more pass — 3(π + nδ) plus two hops of slack. An
+    immediate relaunch only brings a launch earlier, so consecutive
+    launches stay at most π apart and the bound still holds; with the
+    token kept moving, a lone value is in fact safe within π + 2nδ. *)

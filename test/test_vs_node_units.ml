@@ -82,6 +82,61 @@ let test_first_message_safe_within_bound () =
         (t -. 50.0 <= Vs_node.impl_d config))
     safes
 
+(* A lone value, submitted at t = 50 while the idle token sits at the
+   leader between heartbeats (π = 40). It waits at most π for the next
+   launch; from then on the token keeps circulating while it carries the
+   entry, so the entry is delivered everywhere within one rotation and
+   safe everywhere within two more: π + 3nδ plus two hops of slack. With
+   a token relaunched only every π, the safe pass waits on a second
+   heartbeat instead. *)
+let lone_value_config =
+  { Vs_node.procs = Proc.all ~n:5; p0 = Proc.all ~n:5; pi = 40.0; mu = 1000.0; delta = 1.0 }
+
+let lone_value_until = 200.0
+
+let lone_value_run () =
+  let metrics = Gcs_stdx.Metrics.create () in
+  let run =
+    Vs_service.run ~metrics lone_value_config
+      ~workload:[ (50.0, 2, "only") ]
+      ~failures:[] ~until:lone_value_until ~seed:3
+  in
+  (run, metrics)
+
+let test_lone_value_safe_without_idle_heartbeat () =
+  let run, _ = lone_value_run () in
+  let c = lone_value_config in
+  let n = float_of_int (List.length c.Vs_node.procs) in
+  let bound = c.Vs_node.pi +. (3.0 *. n *. c.Vs_node.delta) +. (2.0 *. c.Vs_node.delta) in
+  let safes =
+    List.filter_map
+      (fun (t, a) -> match a with Vs_action.Safe _ -> Some t | _ -> None)
+      (Gcs_core.Timed.actions run.Vs_service.trace)
+  in
+  Alcotest.(check int) "safe at all five members" 5 (List.length safes);
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "safe within pi + 3n.delta + 2.delta = %.0f (took %.2f)" bound
+           (t -. 50.0))
+        true
+        (t -. 50.0 <= bound && t -. 50.0 <= Vs_node.impl_d c))
+    safes
+
+(* The same run: the idle heartbeat survives (at least one launch per π)
+   and the immediate relaunches stop once the entry is pruned (a token
+   that kept spinning would launch thousands of times). *)
+let test_token_heartbeat_without_spin () =
+  let _, metrics = lone_value_run () in
+  let launched = Gcs_stdx.Metrics.counter metrics "vs.tokens_launched" in
+  let periods = lone_value_until /. lone_value_config.Vs_node.pi in
+  let lo = int_of_float (Float.floor periods) in
+  let hi = int_of_float (Float.ceil periods) + 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d <= tokens launched (%d) <= %d" lo launched hi)
+    true
+    (lo <= launched && launched <= hi)
+
 (* Ring topology, including the wrap at the largest member and the
    invariant error on a corrupt (empty) view. *)
 let test_ring_successor () =
@@ -116,5 +171,9 @@ let () =
           Alcotest.test_case "fresh token" `Quick test_fresh_token;
           Alcotest.test_case "first message safe within bound" `Quick
             test_first_message_safe_within_bound;
+          Alcotest.test_case "lone value safe without idle heartbeat" `Quick
+            test_lone_value_safe_without_idle_heartbeat;
+          Alcotest.test_case "token heartbeat without spin" `Quick
+            test_token_heartbeat_without_spin;
         ] );
     ]
