@@ -24,6 +24,7 @@ open Gcs_core
 open Gcs_impl
 
 let delta = 1.0
+let sim = Gcs_sim.Backend.of_config (Gcs_sim.Engine.default_config ~delta)
 let jobs = ref 1
 
 let pmap f xs = Gcs_stdx.Pool.map ~jobs:!jobs f xs
@@ -443,8 +444,8 @@ let x10 () =
   let vstoto_run = To_service.run to_config ~workload:wl ~failures:[] ~until:400.0 ~seed:3 in
   let ss_run = To_service.run ss_config ~workload:wl ~failures:[] ~until:400.0 ~seed:3 in
   let seq_run =
-    Gcs_baseline.Sequencer.run ~delta seq_config ~workload:wl ~failures:[]
-      ~until:400.0 ~seed:3
+    Gcs_baseline.Sequencer.run_on ~backend:sim seq_config ~workload:wl
+      ~failures:[] ~until:400.0 ~seed:3
   in
   let lamport_config = { Gcs_baseline.Lamport_to.procs } in
   let lamport_run =
@@ -474,8 +475,8 @@ let x10 () =
   let failures = partition_at 30.0 [ [ 0 ]; [ 1; 2; 3 ] ] in
   let wl2 = workload ~senders:[ 1; 2; 3 ] ~from_time:60.0 ~spacing:9.0 ~count:6 ~tag:"a" in
   let seq_part =
-    Gcs_baseline.Sequencer.run ~delta seq_config ~workload:wl2 ~failures
-      ~until:500.0 ~seed:4
+    Gcs_baseline.Sequencer.run_on ~backend:sim seq_config ~workload:wl2
+      ~failures ~until:500.0 ~seed:4
   in
   let vstoto_part = To_service.run to_config ~workload:wl2 ~failures ~until:500.0 ~seed:4 in
   let lamport_part =
@@ -885,6 +886,13 @@ let x18 () =
 
 let wall_now () = (Unix.gettimeofday [@gcs.lint.allow "D2"]) ()
 
+(* Observe and stop hooks that end a VStoTO run once every node has
+   delivered the whole workload. *)
+let drained config workload =
+  Gcs_conformance.Service.drained
+    (module Gcs_conformance.Services.Vstoto)
+    config ~workload ~after:Float.neg_infinity
+
 let x19 () =
   row "%12s %4s %10s %10s %10s %14s\n" "mode" "n" "wall s" "packets" "client"
     "msgs/sec";
@@ -931,18 +939,10 @@ let x19 () =
         { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 }
     in
     let wl = List.init count (fun i -> (0.0, i mod n, Printf.sprintf "b%d" i)) in
-    let progress = Array.init n (fun _ -> Atomic.make 0) in
-    let observe p _pre post =
-      let st = To_service.node_app post in
-      let r = st.Vstoto.nextreport - 1 in
-      Gcs_stdx.Atomicx.store_max progress.(p) r
-    in
-    let stop ~now:_ ~outputs:_ =
-      Array.for_all (fun a -> Atomic.get a >= count) progress
-    in
+    let observe, stop = drained config wl in
     let t0 = wall_now () in
     let run =
-      To_service.run_on ~observe ~stop
+      To_service.run_on ?observe ~stop
         ~backend:(Gcs_transport.Bus.backend ())
         config ~workload:wl ~failures:[] ~until:60.0 ~seed:11
     in
@@ -999,15 +999,7 @@ let x20 () =
         procs
     in
     let total = n * count in
-    let progress = Array.init n (fun _ -> Atomic.make 0) in
-    let observe p _pre post =
-      let st = To_service.node_app post in
-      let r = st.Vstoto.nextreport - 1 in
-      Gcs_stdx.Atomicx.store_max progress.(p) r
-    in
-    let stop ~now:_ ~outputs:_ =
-      Array.for_all (fun a -> Atomic.get a >= total) progress
-    in
+    let observe, stop = drained config wl in
     let backend_impl, backend_name, until =
       match backend with
       | `Sim ->
@@ -1018,7 +1010,7 @@ let x20 () =
     in
     let t0 = wall_now () in
     let run =
-      To_service.run_on ~observe ~stop ~backend:backend_impl config
+      To_service.run_on ?observe ~stop ~backend:backend_impl config
         ~workload:wl ~failures:[] ~until ~seed:11
     in
     let wall = wall_now () -. t0 in
@@ -1109,41 +1101,25 @@ let x21 () =
         ("max_latency", J.num worst);
       ]
   in
-  let vstoto_latency () =
+  (* Every service in the same row order as the committed baselines. *)
+  let services =
+    Gcs_conformance.Services.[ vstoto; sequencer; skeen ]
+  in
+  let latency (module S : Gcs_conformance.Service.S) =
     let config =
-      To_service.make_config
-        { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }
+      S.configure
+        (To_service.make_config
+           { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 })
     in
     let run =
-      To_service.run_on
-        ~backend:(Gcs_sim.Backend.of_config (Gcs_sim.Engine.default_config ~delta:1.0))
+      Gcs_conformance.Service.run (module S)
+        ~backend:(Gcs_conformance.Service.sim (module S) ~delta:1.0)
         config
-        ~workload:[ (submit_at, 0, probe) ]
+        ~workload:[ (submit_at, 0, S.lift ~dests:[] config 0 probe) ]
         ~failures:[] ~until:200.0 ~seed:7
     in
-    latency_row "vstoto"
-      (List.filter_map
-         (fun (t, o) ->
-           match o with To_service.Client a -> Some (t, a) | _ -> None)
-         (Timed.actions run.To_service.trace))
-  in
-  let sequencer_latency () =
-    let config = Gcs_baseline.Sequencer.make_config ~procs in
-    let run =
-      Gcs_baseline.Sequencer.run ~delta:1.0 config
-        ~workload:[ (submit_at, 0, probe) ]
-        ~failures:[] ~until:200.0 ~seed:7
-    in
-    latency_row "sequencer" (Timed.actions run.Gcs_baseline.Sequencer.trace)
-  in
-  let skeen_latency () =
-    let config = Gcs_skeen.Skeen.make_config ~procs in
-    let run =
-      Gcs_skeen.Skeen.run ~delta:1.0 config
-        ~workload:[ (submit_at, 0, { Gcs_skeen.Skeen.value = probe; dests = [] }) ]
-        ~failures:[] ~until:200.0 ~seed:7
-    in
-    latency_row "skeen" (Timed.actions run.Gcs_skeen.Skeen.trace)
+    latency_row S.name
+      (Timed.actions (S.client_trace run.Gcs_transport.Iface.trace))
   in
   let throughput_row name ~total ~deliveries ~packets wall =
     let client_rate = float_of_int deliveries /. wall in
@@ -1166,81 +1142,41 @@ let x21 () =
   let count = 120 in
   let total = n * count in
   let values p = List.init count (fun k -> Printf.sprintf "y%d.%d" p k) in
-  let vstoto_throughput () =
+  (* One configuration for every service: VStoTO reads the bus timing
+     and batch window, the others only the processor set. *)
+  let throughput (module S : Gcs_conformance.Service.S) =
     let config =
-      To_service.make_config ~batch_window:0.02
-        { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 }
+      S.configure
+        (To_service.make_config ~batch_window:0.02
+           { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 })
     in
-    let wl =
-      List.concat_map (fun p -> List.map (fun v -> (0.0, p, v)) (values p)) procs
-    in
-    let progress = Array.init n (fun _ -> Atomic.make 0) in
-    let observe p _pre post =
-      let st = To_service.node_app post in
-      let r = st.Vstoto.nextreport - 1 in
-      Gcs_stdx.Atomicx.store_max progress.(p) r
-    in
-    let stop ~now:_ ~outputs:_ =
-      Array.for_all (fun a -> Atomic.get a >= total) progress
-    in
-    let t0 = wall_now () in
-    let run =
-      To_service.run_on ~observe ~stop
-        ~backend:(Gcs_transport.Bus.backend ())
-        config ~workload:wl ~failures:[] ~until:60.0 ~seed:11
-    in
-    let wall = wall_now () -. t0 in
-    throughput_row "vstoto" ~total
-      ~deliveries:(To_service.deliveries run)
-      ~packets:run.To_service.packets_sent wall
-  in
-  let sequencer_throughput () =
-    let config = Gcs_baseline.Sequencer.make_config ~procs in
-    let wl =
-      List.concat_map (fun p -> List.map (fun v -> (0.0, p, v)) (values p)) procs
-    in
-    let stop ~now:_ ~outputs = outputs >= total + (n * total) in
-    let t0 = wall_now () in
-    let run =
-      Gcs_baseline.Sequencer.run_on ~stop
-        ~backend:(Gcs_transport.Bus.backend ())
-        config ~workload:wl ~failures:[] ~until:60.0 ~seed:11
-    in
-    let wall = wall_now () -. t0 in
-    throughput_row "sequencer" ~total
-      ~deliveries:(Gcs_baseline.Sequencer.deliveries run)
-      ~packets:run.Gcs_baseline.Sequencer.packets_sent wall
-  in
-  let skeen_throughput () =
-    let config = Gcs_skeen.Skeen.make_config ~procs in
     let wl =
       List.concat_map
         (fun p ->
           List.map
-            (fun v -> (0.0, p, { Gcs_skeen.Skeen.value = v; dests = [] }))
+            (fun v -> (0.0, p, S.lift ~dests:[] config p v))
             (values p))
         procs
     in
-    let stop ~now:_ ~outputs = outputs >= total + (n * total) in
+    let observe, stop =
+      Gcs_conformance.Service.drained (module S) config ~workload:wl
+        ~after:Float.neg_infinity
+    in
     let t0 = wall_now () in
     let run =
-      Gcs_skeen.Skeen.run_on ~stop
+      Gcs_conformance.Service.run (module S) ?observe ~stop
         ~backend:(Gcs_transport.Bus.backend ())
         config ~workload:wl ~failures:[] ~until:60.0 ~seed:11
     in
     let wall = wall_now () -. t0 in
-    throughput_row "skeen" ~total
-      ~deliveries:(Gcs_skeen.Skeen.deliveries run)
-      ~packets:run.Gcs_skeen.Skeen.packets_sent wall
+    throughput_row S.name ~total
+      ~deliveries:
+        (snd
+           (Gcs_conformance.Service.tally
+              (S.client_trace run.Gcs_transport.Iface.trace)))
+      ~packets:run.Gcs_transport.Iface.packets_sent wall
   in
-  [
-    vstoto_latency ();
-    sequencer_latency ();
-    skeen_latency ();
-    vstoto_throughput ();
-    sequencer_throughput ();
-    skeen_throughput ();
-  ]
+  List.map latency services @ List.map throughput services
 
 (* ------------------------------------------------------------------ *)
 (* X22: differential fuzzing throughput — executions per second for each

@@ -662,13 +662,19 @@ let fuzz_cmd =
   let service_arg =
     Arg.(
       value
-      & opt (enum [ ("vstoto", `Vstoto); ("skeen", `Skeen) ]) `Vstoto
+      & opt
+          (some
+             (enum
+                (List.map (fun s -> (s, s)) Gcs_conformance.Services.names)))
+          None
       & info [ "service" ] ~docv:"S"
           ~doc:
-            "System under test: $(b,vstoto) (the full VStoTO stack, default) \
-             or $(b,skeen) (the Skeen timestamp total-order backend with its \
-             own oracle chain). A Skeen mutant name in $(b,--mutant) implies \
-             $(b,skeen).")
+            "System under test, each with its own oracle chain: \
+             $(b,vstoto) (the full VStoTO stack, the default), $(b,skeen) \
+             (the Skeen timestamp total-order backend) or $(b,sequencer) \
+             (the fixed-sequencer baseline). A mutant name in \
+             $(b,--mutant) implies its service; naming another service \
+             is an error.")
   in
   let expect_arg =
     Arg.(
@@ -712,20 +718,14 @@ let fuzz_cmd =
   let run n delta pi mu seed jobs execs batch corpus corpus_in diff soak
       max_minutes snapshot snapshot_every mutant list_mutants list_diff_mutants
       service expect repro replay shrink_budget json =
-    if list_mutants then begin
-      List.iter
-        (fun m ->
-          Printf.printf "%-24s %s (flagged by: %s)\n" m.Gcs_fuzz.Mutant.name
-            m.Gcs_fuzz.Mutant.doc
-            (String.concat ", " m.Gcs_fuzz.Mutant.expected_checks))
-        Gcs_fuzz.Mutant.all;
+    if list_mutants then
       List.iter
         (fun m ->
           Printf.printf "%-24s %s (flagged by: %s)\n"
-            m.Gcs_fuzz.Skeen_mutant.name m.Gcs_fuzz.Skeen_mutant.doc
-            (String.concat ", " m.Gcs_fuzz.Skeen_mutant.expected_checks))
-        Gcs_fuzz.Skeen_mutant.all
-    end
+            (Gcs_conformance.Service.mutant_name m)
+            (Gcs_conformance.Service.mutant_doc m)
+            (String.concat ", " (Gcs_conformance.Service.mutant_checks m)))
+        Gcs_fuzz.Mutant.all
     else if list_diff_mutants then
       List.iter
         (fun m ->
@@ -736,28 +736,39 @@ let fuzz_cmd =
     else begin
       let vs_config = mk_config n delta pi mu in
       let config = To_service.make_config vs_config in
-      let mutant, skeen_mutant, tamper, mutant_pair =
+      let service =
+        Option.map
+          (fun name -> Option.get (Gcs_conformance.Services.find name))
+          service
+      in
+      let mutant, tamper, mutant_pair =
         match mutant with
-        | "" -> (None, None, None, None)
+        | "" -> (None, None, None)
         | name -> (
             match Gcs_fuzz.Mutant.find name with
-            | Some m -> (Some m, None, None, None)
+            | Some m -> (Some m, None, None)
             | None -> (
-                match Gcs_fuzz.Skeen_mutant.find name with
-                | Some m -> (None, Some m, None, None)
-                | None -> (
-                    match Gcs_fuzz.Diff_mutant.find name with
-                    | Some m ->
-                        ( m.Gcs_fuzz.Diff_mutant.vs,
-                          m.Gcs_fuzz.Diff_mutant.skeen,
-                          m.Gcs_fuzz.Diff_mutant.tamper,
-                          Some m.Gcs_fuzz.Diff_mutant.pair )
-                    | None ->
-                        Printf.eprintf
-                          "error: unknown mutant %s (try --list-mutants, \
-                           --list-diff-mutants)\n"
-                          name;
-                        exit 2)))
+                match Gcs_fuzz.Diff_mutant.find name with
+                | Some m ->
+                    ( m.Gcs_fuzz.Diff_mutant.mutant,
+                      m.Gcs_fuzz.Diff_mutant.tamper,
+                      Some m.Gcs_fuzz.Diff_mutant.pair )
+                | None ->
+                    Printf.eprintf
+                      "error: unknown mutant %s (try --list-mutants, \
+                       --list-diff-mutants)\n"
+                      name;
+                    exit 2))
+      in
+      (* A planted bug instruments one service's handlers: pairing it with
+         another service (or a pair with another candidate) would fuzz a
+         clean system and report nothing, so the runners refuse it with
+         Invalid_argument before anything runs. *)
+      let refusing f =
+        try f ()
+        with Invalid_argument msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 2
       in
       let pair =
         match (diff, mutant_pair) with
@@ -781,16 +792,6 @@ let fuzz_cmd =
                     exit 2
                 | _ -> Some p))
       in
-      let service =
-        if Option.is_some skeen_mutant then Gcs_fuzz.Fuzz.Skeen_backend
-        else
-          match service with
-          | `Skeen -> Gcs_fuzz.Fuzz.Skeen_backend
-          | `Vstoto -> Gcs_fuzz.Fuzz.Vstoto_stack
-      in
-      let skeen_config =
-        Gcs_skeen.Skeen.make_config ~procs:vs_config.Vs_node.procs
-      in
       if replay <> "" then begin
         let contents =
           let ic = open_in replay in
@@ -805,17 +806,13 @@ let fuzz_cmd =
             exit 2
         | Ok input -> (
             let obs =
-              match pair with
-              | Some p ->
-                  Gcs_fuzz.Differential.execute ?tamper ?vs_mutant:mutant
-                    ?skeen_mutant ~config p input
-              | None -> (
-                  match service with
-                  | Gcs_fuzz.Fuzz.Vstoto_stack ->
-                      Gcs_fuzz.Runner.execute ?mutant ~config input
-                  | Gcs_fuzz.Fuzz.Skeen_backend ->
-                      Gcs_fuzz.Runner.execute_skeen ?mutant:skeen_mutant ~delta
-                        ~config:skeen_config input)
+              refusing (fun () ->
+                  match pair with
+                  | Some p ->
+                      Gcs_fuzz.Differential.execute ?tamper ?mutant ~config p
+                        input
+                  | None ->
+                      Gcs_fuzz.Runner.execute ?service ?mutant ~config input)
             in
             match obs.Gcs_fuzz.Runner.verdict with
             | None ->
@@ -876,9 +873,10 @@ let fuzz_cmd =
               snap s)
         in
         let outcome =
-          Gcs_fuzz.Fuzz.run ?mutant ?skeen_mutant ?tamper ?pair ~service
-            ~seeds ~jobs ~batch ~shrink_budget ~stop_on_failure:(not soak)
-            ?should_stop ?progress ~config ~seed ~execs ()
+          refusing (fun () ->
+              Gcs_fuzz.Fuzz.run ?service ?mutant ?tamper ?pair ~seeds ~jobs
+                ~batch ~shrink_budget ~stop_on_failure:(not soak) ?should_stop
+                ?progress ~config ~seed ~execs ())
         in
         if json then print_endline (Gcs_fuzz.Fuzz.stats_to_json outcome)
         else begin
@@ -950,12 +948,7 @@ let fuzz_cmd =
                 if not json then Printf.printf "wrote %s\n" file
             | None ->
                 let trace, _ =
-                  match service with
-                  | Gcs_fuzz.Fuzz.Vstoto_stack ->
-                      Gcs_fuzz.Runner.replay ?mutant ~config input
-                  | Gcs_fuzz.Fuzz.Skeen_backend ->
-                      Gcs_fuzz.Runner.replay_skeen ?mutant:skeen_mutant ~delta
-                        ~config:skeen_config input
+                  Gcs_fuzz.Runner.replay ?service ?mutant ~config input
                 in
                 write_file (file ^ ".trace")
                   (Trace_io.to_to_string trace ^ "\n");
@@ -1075,7 +1068,12 @@ let lockcheck_cmd =
        whose every lock (status matrix, trace, delay wheel, observe
        serializer, one per mailbox) records into [registry]. *)
     let backend = Gcs_transport.Bus.backend ~lock_registry:registry () in
-    let profile = { (Suite.bus_profile ~n ()) with Suite.backend } in
+    let profile =
+      {
+        (Suite.bus_profile ~n Gcs_conformance.Services.vstoto) with
+        Suite.backend;
+      }
+    in
     let outcomes = Suite.run_all profile ~seed in
     List.iter (Format.printf "%a@." Suite.pp_outcome) outcomes;
     let graph = Lock.graph registry in
@@ -1305,18 +1303,14 @@ let bus_cmd =
               in
               Book_rsm.submit origin (Gcs_apps.Order_book.Submit order) 0.0)
     in
-    let progress = Array.init n (fun _ -> Atomic.make 0) in
-    let observe p _pre post =
-      let st = To_service.node_app post in
-      let reported = st.Vstoto.nextreport - 1 in
-      Gcs_stdx.Atomicx.store_max progress.(p) reported
-    in
-    let stop ~now:_ ~outputs:_ =
-      Array.for_all (fun a -> Atomic.get a >= ops) progress
+    let observe, stop =
+      Gcs_conformance.Service.drained
+        (module Gcs_conformance.Services.Vstoto)
+        config ~workload ~after:Float.neg_infinity
     in
     let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
     let run =
-      To_service.run_on ~observe ~stop
+      To_service.run_on ?observe ~stop
         ~backend:(Gcs_transport.Bus.backend ())
         config ~workload ~failures:[] ~until:120.0 ~seed
     in
@@ -1403,70 +1397,129 @@ let bus_cmd =
    the realized batch-size distribution, the same numbers bench section
    X20 records and gates. *)
 let load_cmd =
-  (* The Skeen backend has no batching layer: every submission is its own
-     propose/commit exchange addressed to the full group, so --window is
-     ignored and the report's batch and token columns are structurally
-     zero. *)
-  let run_skeen backend n count rate seed json =
+  (* One sim and one bus entry per registered service; the default
+     service (the registry's first) keeps the bare transport names. *)
+  let backends =
+    List.concat
+      (List.mapi
+         (fun i service ->
+           let name = Gcs_conformance.Service.name service in
+           if i = 0 then [ ("sim", (service, `Sim)); ("bus", (service, `Bus)) ]
+           else [ (name, (service, `Sim)); (name ^ "-bus", (service, `Bus)) ])
+         Gcs_conformance.Services.all)
+  in
+  let run backend n count rate window seed json =
+    let (module S : Gcs_conformance.Service.S), transport =
+      List.assoc backend backends
+    in
     let procs = Proc.all ~n in
-    let config = Gcs_skeen.Skeen.make_config ~procs in
+    let vs_config =
+      match transport with
+      | `Sim -> { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }
+      | `Bus -> { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 }
+    in
+    (* Services without a batching layer order every submission on its
+       own: --window does not apply and the batch and token columns are
+       structurally zero. *)
+    let batch_window =
+      if not S.batching then None
+      else if window < 0.0 then
+        Some (match transport with `Sim -> 2.0 | `Bus -> 0.02)
+      else if window = 0.0 then None
+      else Some window
+    in
+    let config = S.configure (To_service.make_config ?batch_window vs_config) in
     let workload =
       List.concat_map
         (fun p ->
           List.init count (fun k ->
               let at = if rate <= 0.0 then 0.0 else float_of_int k /. rate in
-              ( at,
-                p,
-                {
-                  Gcs_skeen.Skeen.value = Printf.sprintf "v%d.%d" p k;
-                  dests = [];
-                } )))
+              (at, p, S.lift ~dests:[] config p (Printf.sprintf "v%d.%d" p k))))
         procs
     in
     let total = n * count in
-    let expected = n * total in
+    let observe, stop =
+      Gcs_conformance.Service.drained (module S) config ~workload
+        ~after:Float.neg_infinity
+    in
     let offered = if rate <= 0.0 then 0.0 else float_of_int count /. rate in
-    let delta = match backend with `Skeen_sim -> 1.0 | `Skeen_bus -> 5.0 in
     let until =
-      match backend with
-      | `Skeen_sim -> offered +. 500.0
-      | `Skeen_bus -> offered +. 60.0
+      match transport with `Sim -> offered +. 500.0 | `Bus -> offered +. 60.0
     in
-    let backend_impl, backend_name =
-      match backend with
-      | `Skeen_sim ->
-          ( Gcs_sim.Backend.of_config
-              {
-                (Gcs_sim.Engine.default_config ~delta) with
-                Gcs_sim.Engine.fifo = true;
-              },
-            "skeen" )
-      | `Skeen_bus -> (Gcs_transport.Bus.backend (), "skeen-bus")
+    let backend_impl =
+      match transport with
+      | `Sim -> Gcs_conformance.Service.sim (module S) ~delta:vs_config.Vs_node.delta
+      | `Bus -> Gcs_transport.Bus.backend ()
     in
-    (* Each submission records one Bcast and n Brcv outputs. *)
-    let stop ~now:_ ~outputs = outputs >= total + expected in
+    let metrics = Gcs_stdx.Metrics.create () in
     let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
     let run =
-      Gcs_skeen.Skeen.run_on ~stop ~backend:backend_impl config ~workload
-        ~failures:[] ~until ~seed
+      Gcs_conformance.Service.run (module S) ~metrics ?observe ~stop
+        ~backend:backend_impl config ~workload ~failures:[] ~until ~seed
     in
     let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
-    let deliveries = Gcs_skeen.Skeen.deliveries run in
+    let _, deliveries =
+      Gcs_conformance.Service.tally (S.client_trace run.Gcs_transport.Iface.trace)
+    in
+    let expected = n * total in
     let client_rate = float_of_int deliveries /. wall in
+    let batches, batch_mean, batch_max =
+      match Gcs_stdx.Metrics.histogram metrics "to.batch_size" with
+      | Some (_, c, sum, max_v) when c > 0 ->
+          (c, sum /. float_of_int c, max_v)
+      | _ -> (0, 0.0, 0.0)
+    in
+    (* Heartbeat launches plus immediate relaunches: the rotation cost
+       of the delivered load. *)
+    let tokens = Gcs_stdx.Metrics.counter metrics "vs.tokens_launched" in
+    let packets = run.Gcs_transport.Iface.packets_sent in
+    let rate_text = if rate <= 0.0 then "preload" else Printf.sprintf "%g" rate in
     if json then
-      Printf.printf
-        "{\"backend\":\"%s\",\"n\":%d,\"count_per_proc\":%d,\"rate_per_proc\":%g,\"batch_window\":null,\"submitted\":%d,\"client_deliveries\":%d,\"expected_deliveries\":%d,\"wall_s\":%.6f,\"client_msgs_per_s\":%.1f,\"packets_sent\":%d,\"gpsnd_batches\":0,\"batch_mean\":0.00,\"batch_max\":0,\"tokens_launched\":0}\n"
-        backend_name n count rate total deliveries expected wall client_rate
-        run.Gcs_skeen.Skeen.packets_sent
+      let num x = Gcs_stdx.Jsonx.Num x and int k = Gcs_stdx.Jsonx.Num (float_of_int k) in
+      print_endline
+        (Gcs_stdx.Jsonx.encode
+           (Gcs_stdx.Jsonx.Obj
+              [
+                ("backend", Gcs_stdx.Jsonx.Str backend);
+                ("n", int n);
+                ("count_per_proc", int count);
+                ("rate_per_proc", num rate);
+                ( "batch_window",
+                  match batch_window with
+                  | None -> Gcs_stdx.Jsonx.Null
+                  | Some w -> num w );
+                ("submitted", int total);
+                ("client_deliveries", int deliveries);
+                ("expected_deliveries", int expected);
+                ("wall_s", num wall);
+                ("client_msgs_per_s", num client_rate);
+                ("packets_sent", int packets);
+                ("gpsnd_batches", int batches);
+                ("batch_mean", num batch_mean);
+                ("batch_max", num batch_max);
+                ("tokens_launched", int tokens);
+              ]))
     else begin
-      Printf.printf "load: backend=%s n=%d count=%d/proc rate=%s/proc\n"
-        backend_name n count
-        (if rate <= 0.0 then "preload" else Printf.sprintf "%g" rate);
+      if S.batching then
+        Printf.printf
+          "load: backend=%s n=%d count=%d/proc rate=%s/proc window=%s\n"
+          backend n count rate_text
+          (match batch_window with
+          | None -> "off"
+          | Some w -> Printf.sprintf "%g" w)
+      else
+        Printf.printf "load: backend=%s n=%d count=%d/proc rate=%s/proc\n"
+          backend n count rate_text;
       Printf.printf
         "  %d submitted, %d/%d deliveries in %.2f wall s  ->  %.0f client \
          msgs/sec\n"
         total deliveries expected wall client_rate;
-      Printf.printf "  %d packets\n" run.Gcs_skeen.Skeen.packets_sent
+      if batches > 0 || tokens > 0 then
+        Printf.printf
+          "  %d packets, %d gpsnd batches (mean %.1f, max %.0f), %d tokens \
+           launched\n"
+          packets batches batch_mean batch_max tokens
+      else Printf.printf "  %d packets\n" packets
     end;
     if deliveries < expected then
       `Error
@@ -1475,125 +1528,17 @@ let load_cmd =
             deliveries expected )
     else `Ok ()
   in
-  let run backend n count rate window seed json =
-    match backend with
-    | (`Skeen_sim | `Skeen_bus) as b -> run_skeen b n count rate seed json
-    | (`Sim | `Bus) as backend ->
-    let procs = Proc.all ~n in
-    let vs_config =
-      match backend with
-      | `Sim -> { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }
-      | `Bus -> { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 }
-    in
-    let batch_window =
-      if window < 0.0 then
-        Some (match backend with `Sim -> 2.0 | `Bus -> 0.02)
-      else if window = 0.0 then None
-      else Some window
-    in
-    let config = To_service.make_config ?batch_window vs_config in
-    let workload =
-      List.concat_map
-        (fun p ->
-          List.init count (fun k ->
-              let at = if rate <= 0.0 then 0.0 else float_of_int k /. rate in
-              (at, p, Printf.sprintf "v%d.%d" p k)))
-        procs
-    in
-    let total = n * count in
-    let progress = Array.init n (fun _ -> Atomic.make 0) in
-    let observe p _pre post =
-      let st = To_service.node_app post in
-      let r = st.Vstoto.nextreport - 1 in
-      Gcs_stdx.Atomicx.store_max progress.(p) r
-    in
-    let stop ~now:_ ~outputs:_ =
-      Array.for_all (fun a -> Atomic.get a >= total) progress
-    in
-    let offered = if rate <= 0.0 then 0.0 else float_of_int count /. rate in
-    let until =
-      match backend with `Sim -> offered +. 500.0 | `Bus -> offered +. 60.0
-    in
-    let backend_impl, backend_name =
-      match backend with
-      | `Sim ->
-          ( Gcs_sim.Backend.of_config
-              (Gcs_sim.Engine.default_config ~delta:vs_config.Vs_node.delta),
-            "sim" )
-      | `Bus -> (Gcs_transport.Bus.backend (), "bus")
-    in
-    let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
-    let run =
-      To_service.run_on ~observe ~stop ~backend:backend_impl config ~workload
-        ~failures:[] ~until ~seed
-    in
-    let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
-    let deliveries = To_service.deliveries run in
-    let client_rate = float_of_int deliveries /. wall in
-    let batches, batch_mean, batch_max =
-      match
-        Gcs_stdx.Metrics.histogram run.To_service.metrics "to.batch_size"
-      with
-      | Some (_, c, sum, max_v) when c > 0 ->
-          (c, sum /. float_of_int c, max_v)
-      | _ -> (0, 0.0, 0.0)
-    in
-    (* Heartbeat launches plus immediate relaunches: the rotation cost
-       of the delivered load. *)
-    let tokens =
-      Gcs_stdx.Metrics.counter run.To_service.metrics "vs.tokens_launched"
-    in
-    if json then
-      Printf.printf
-        "{\"backend\":\"%s\",\"n\":%d,\"count_per_proc\":%d,\"rate_per_proc\":%g,\"batch_window\":%s,\"submitted\":%d,\"client_deliveries\":%d,\"expected_deliveries\":%d,\"wall_s\":%.6f,\"client_msgs_per_s\":%.1f,\"packets_sent\":%d,\"gpsnd_batches\":%d,\"batch_mean\":%.2f,\"batch_max\":%.0f,\"tokens_launched\":%d}\n"
-        backend_name n count rate
-        (match batch_window with
-        | None -> "null"
-        | Some w -> Printf.sprintf "%g" w)
-        total deliveries (n * total) wall client_rate
-        run.To_service.packets_sent batches batch_mean batch_max tokens
-    else begin
-      Printf.printf
-        "load: backend=%s n=%d count=%d/proc rate=%s/proc window=%s\n"
-        backend_name n count
-        (if rate <= 0.0 then "preload" else Printf.sprintf "%g" rate)
-        (match batch_window with
-        | None -> "off"
-        | Some w -> Printf.sprintf "%g" w);
-      Printf.printf
-        "  %d submitted, %d/%d deliveries in %.2f wall s  ->  %.0f client \
-         msgs/sec\n"
-        total deliveries (n * total) wall client_rate;
-      Printf.printf
-        "  %d packets, %d gpsnd batches (mean %.1f, max %.0f), %d tokens \
-         launched\n"
-        run.To_service.packets_sent batches batch_mean batch_max tokens
-    end;
-    if deliveries < n * total then
-      `Error
-        ( false,
-          Printf.sprintf "incomplete: %d of %d deliveries before the horizon"
-            deliveries (n * total) )
-    else `Ok ()
-  in
   let backend_arg =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("sim", `Sim);
-               ("bus", `Bus);
-               ("skeen", `Skeen_sim);
-               ("skeen-bus", `Skeen_bus);
-             ])
-          `Sim
+      & opt (enum (List.map (fun (b, _) -> (b, b)) backends)) "sim"
       & info [ "backend" ] ~docv:"B"
           ~doc:
-            "Total-order backend and transport: $(b,sim)/$(b,bus) drive the \
-             VStoTO stack (virtual time vs real domains); $(b,skeen) and \
-             $(b,skeen-bus) drive the Skeen timestamp backend on the same \
-             two transports ($(b,--window) does not apply — Skeen has no \
+            "Total-order service and transport: $(b,sim)/$(b,bus) drive the \
+             VStoTO stack (virtual time vs real domains); $(b,skeen), \
+             $(b,skeen-bus), $(b,sequencer) and $(b,sequencer-bus) drive \
+             the Skeen timestamp backend and the fixed sequencer on the same \
+             two transports ($(b,--window) does not apply — neither has a \
              batching layer).")
   in
   let count_arg =
@@ -1625,7 +1570,7 @@ let load_cmd =
     (Cmd.info "load"
        ~doc:
          "Open-loop load generator: fixed-rate client submissions through \
-          the full VStoTO stack on the sim or bus backend, reporting \
+          any total-order service on the sim or bus backend, reporting \
           wall-clock client throughput, batch sizes and tokens launched.")
     Term.(
       ret

@@ -64,7 +64,10 @@ let () =
           (60.0 +. (float_of_int i *. 10.0)))
   in
   let seq_run =
-    Sequencer.run ~delta:1.0 seq_config ~workload:wl ~failures ~until:400.0
+    Sequencer.run_on
+      ~backend:
+        (Gcs_sim.Backend.of_config (Gcs_sim.Engine.default_config ~delta:1.0))
+      seq_config ~workload:wl ~failures ~until:400.0
       ~seed:2
   in
   let vstoto_run = To_service.run config ~workload:wl ~failures ~until:400.0 ~seed:2 in

@@ -27,6 +27,19 @@ type run = {
 
 let initial me = { me; next_seq = 1; next_deliver = 1; pending = [] }
 
+let node_delivered node = node.next_deliver - 1
+let node_pending node = List.length node.pending
+
+let snapshot_node node =
+  let buf = Buffer.create 64 in
+  Printf.bprintf buf "next_seq=%d next_deliver=%d\n" node.next_seq
+    node.next_deliver;
+  List.iter
+    (fun (seq, origin, value) ->
+      Printf.bprintf buf "p %d %d %s\n" seq origin value)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) node.pending);
+  Buffer.contents buf
+
 (* Deliver every buffered message that is next in sequence. *)
 let rec drain node =
   match
@@ -82,21 +95,6 @@ let handlers config =
   in
   let on_timer _me ~now:_ ~id:_ node = (node, []) in
   { Engine.on_start; on_input; on_packet; on_timer }
-
-let run ?engine ~delta config ~workload ~failures ~until ~seed =
-  let engine_config =
-    match engine with Some c -> c | None -> Engine.default_config ~delta
-  in
-  let result =
-    Engine.run engine_config ~procs:config.procs ~handlers:(handlers config)
-      ~init:initial ~inputs:workload ~failures ~until
-      ~prng:(Gcs_stdx.Prng.create seed)
-  in
-  {
-    trace = result.Engine.trace;
-    packets_sent = result.Engine.packets_sent;
-    packets_dropped = result.Engine.packets_dropped;
-  }
 
 (* Byte codec over the shared wire primitives, so the baseline can run on
    the bus for wall-clock comparisons against VStoTO and Skeen. *)

@@ -21,19 +21,26 @@ type run = {
   packets_dropped : int;
 }
 
-val run :
-  ?engine:Gcs_sim.Engine.config ->
-  delta:float ->
-  config ->
-  workload:(float * Proc.t * Value.t) list ->
-  failures:(float * Fstatus.event) list ->
-  until:float ->
-  seed:int ->
-  run
-
 type packet =
   | Request of { origin : Proc.t; value : Value.t }
   | Ordered of { seq : int; origin : Proc.t; value : Value.t }
+
+type node
+
+val initial : Proc.t -> node
+
+val handlers :
+  config -> (node, Value.t, packet, Value.t To_action.t) Gcs_sim.Engine.handlers
+
+val node_delivered : node -> int
+(** Deliveries performed at this node. *)
+
+val node_pending : node -> int
+(** Ordered messages buffered out of sequence. *)
+
+val snapshot_node : node -> string
+(** Deterministic serialization of a node's state (counters and the
+    out-of-order buffer), for fuzzy-hashed state coverage. *)
 
 val encode_packet : packet -> string
 val decode_packet : string -> (packet, string) result
@@ -49,8 +56,9 @@ val run_on :
   until:float ->
   seed:int ->
   run
-(** The baseline on a pluggable transport via {!packet_codec}, for
-    wall-clock bench comparisons against the partitionable stacks. *)
+(** The baseline on a pluggable transport via {!packet_codec} — the
+    simulator through {!Gcs_sim.Backend.of_config}, or the bus for
+    wall-clock comparisons against the partitionable stacks. *)
 
 val to_conforms : config -> run -> (unit, To_trace_checker.error) result
 val deliveries : run -> int

@@ -4,6 +4,7 @@ open Gcs_nemesis
 
 type profile = {
   label : string;
+  service : Service.t;
   backend : Gcs_transport.Iface.backend;
   config : To_service.config;
   beat : float;
@@ -24,11 +25,13 @@ let mk_config ?batch_window ~n ~delta ~pi ~mu () =
    time while keeping every π/μ/δ ratio — and hence the protocol's
    timeout structure — intact. *)
 
-let sim_profile ?batch_window ?(n = 3) () =
+let sim_profile ?batch_window ?n service =
+  let (module S : Service.S) = service in
+  let n = Option.value n ~default:S.default_n in
   {
     label = "sim";
-    backend =
-      Gcs_sim.Backend.of_config (Gcs_sim.Engine.default_config ~delta:1.0);
+    service;
+    backend = Service.sim service ~delta:1.0;
     config = mk_config ?batch_window ~n ~delta:1.0 ~pi:6.0 ~mu:8.0 ();
     beat = 10.0;
     workload_spacing = 3.0;
@@ -37,9 +40,12 @@ let sim_profile ?batch_window ?(n = 3) () =
     use_stop = false;
   }
 
-let bus_profile ?batch_window ?(n = 3) () =
+let bus_profile ?batch_window ?n service =
+  let (module S : Service.S) = service in
+  let n = Option.value n ~default:S.default_n in
   {
     label = "bus";
+    service;
     backend = Gcs_transport.Bus.backend ();
     config = mk_config ?batch_window ~n ~delta:0.1 ~pi:0.6 ~mu:0.8 ();
     beat = 0.5;
@@ -101,117 +107,78 @@ type outcome = {
 }
 
 (* Workload spread over the fault window: distinct values per origin (the
-   TO-property checker requires it), origins interleaved. *)
-let workload profile ~stabilization =
-  let procs = profile.config.To_service.vs.Vs_node.procs in
-  ignore stabilization;
+   trace checkers require it), origins interleaved. Addressing is
+   deterministic per (origin, index) and mixes full-group and
+   overlapping-subset submissions: a third go to the whole group, a
+   third to the pair from the origin up, a third to the triple from the
+   index up. Services without destination subsets ignore it. *)
+let workload (type c n i p o) ((module S) : (c, n, i, p, o) Service.s) config
+    profile =
+  let procs = S.procs config in
+  let n = List.length procs in
+  let nth i = List.nth procs (i mod n) in
+  let dests p k =
+    match (p + k) mod 3 with
+    | 0 -> []
+    | 1 -> [ nth p; nth (p + 1) ]
+    | _ -> [ nth k; nth (k + 1); nth (k + 2) ]
+  in
   List.concat_map
     (fun p ->
       List.init profile.workload_count (fun k ->
           ( profile.workload_spacing
             *. float_of_int (1 + k + (p * profile.workload_count)),
             p,
-            Printf.sprintf "c%d.%d" p k )))
+            S.lift ~dests:(dests p k) config p (Printf.sprintf "c%d.%d" p k) )))
     procs
 
-(* Batching oracle: a batch is drawn from the buffer of a single view
-   (labels are stamped with the view that created them), so every
-   [Msg.Batch] seen at the VS layer must be view-homogeneous. A mixed
-   batch means a send crossed a view boundary. *)
-let batch_boundary_violation run =
-  List.find_map
-    (fun (_, a) ->
-      let msg =
-        match a with
-        | Vs_action.Gpsnd { msg; _ }
-        | Vs_action.Gprcv { msg; _ }
-        | Vs_action.Safe { msg; _ } ->
-            Some msg
-        | Vs_action.Newview _ | Vs_action.Createview _ | Vs_action.Vs_order _
-          ->
-            None
-      in
-      match msg with
-      | Some (Msg.Batch ((l0, _) :: rest)) ->
-          List.find_map
-            (fun (l, _) ->
-              if View_id.equal l.Label.id l0.Label.id then None
-              else
-                Some
-                  (Format.asprintf
-                     "batch mixes labels of views %a and %a" View_id.pp
-                     l0.Label.id View_id.pp l.Label.id))
-            rest
-      | _ -> None)
-    (Timed.actions (To_service.vs_trace run))
+let addressing profile =
+  let (module S : Service.S) = profile.service in
+  let config = S.configure profile.config in
+  List.map
+    (fun (_, p, input) -> (p, S.destinations config input))
+    (workload (module S) config profile)
 
 let check profile ~seed case =
-  let config = profile.config in
-  let procs = config.To_service.vs.Vs_node.procs in
-  let n = List.length procs in
+  let (module S : Service.S) = profile.service in
+  let config = S.configure profile.config in
+  let procs = S.procs config in
   let l = Scenario.stabilization_time case.scenario in
-  let b', d' = Harness.bounds config in
-  let until = l +. b' +. d' +. profile.slack in
-  let workload = workload profile ~stabilization:l in
-  let expected = List.length workload in
+  let workload = workload (module S) config profile in
+  let workload_end =
+    List.fold_left (fun acc (t, _, _) -> Float.max acc t) 0.0 workload
+  in
+  let until =
+    S.settle config ~stabilization:l ~workload_end +. profile.slack
+  in
   let failures = Scenario.compile ~procs case.scenario in
-  (* Early stop for wall-clock backends: every node has confirmed and
-     reported the whole workload, and the fault schedule has fully
+  (* Early stop for wall-clock backends: every node has delivered the
+     whole workload addressed to it, and the fault schedule has fully
      played (stopping mid-schedule would make the bound check vacuous). *)
-  let progress = Array.init n (fun _ -> Atomic.make 0) in
-  let observe p _pre post =
-    let st = To_service.node_app post in
-    let reported = st.Vstoto.nextreport - 1 in
-    Gcs_stdx.Atomicx.store_max progress.(p) reported
+  let observe, stop =
+    if profile.use_stop then
+      let observe, stop = Service.drained (module S) config ~workload ~after:l in
+      (observe, Some stop)
+    else (None, None)
   in
-  let stop ~now ~outputs:_ =
-    now > l
-    && Array.for_all (fun a -> Atomic.get a >= expected) progress
-  in
-  let stop = if profile.use_stop then Some stop else None in
   let run =
-    To_service.run_on ~observe ?stop ~backend:profile.backend config ~workload
-      ~failures ~until ~seed
+    Service.run (module S) ?observe ?stop
+      ~backend:profile.backend config ~workload ~failures ~until ~seed
   in
+  let trace = run.Gcs_transport.Iface.trace in
   let failure =
-    match To_service.to_conforms config run with
-    | Error e ->
-        Some
-          ("to-conformance", Format.asprintf "%a" To_trace_checker.pp_error e)
-    | Ok () -> (
-        match To_service.vs_conforms config run with
-        | Error e ->
-            Some
-              ( "vs-conformance",
-                Format.asprintf "%a" Vs_trace_checker.pp_error e )
-        | Ok () ->
-            let report =
-              To_property.check ~b:b' ~d:d' ~q:procs ~horizon:until
-                (To_service.client_trace run)
-            in
-            if not (To_property.holds report) then
-              Some
-                ( "delivery-bound",
-                  Format.asprintf "%a" To_property.pp_report report )
-            else (
-              match batch_boundary_violation run with
-              | Some detail -> Some ("batch-view-boundary", detail)
-              | None ->
-                  Oracle.node_invariant_failure run.To_service.final_nodes))
+    S.verdict config
+      ~faulty:(case.scenario.Scenario.steps <> [])
+      ~until ~workload trace run.Gcs_transport.Iface.final_states
   in
-  let bcasts =
-    List.length
-      (List.filter
-         (fun (_, a) -> match a with To_action.Bcast _ -> true | _ -> false)
-         (Timed.actions (To_service.client_trace run)))
-  in
+  let bcasts, deliveries = Service.tally (S.client_trace trace) in
   {
     case = case.name;
     seed;
     failure;
     bcasts;
-    deliveries = To_service.deliveries run;
-    events_processed = run.To_service.events_processed;
+    deliveries;
+    events_processed = run.Gcs_transport.Iface.events_processed;
   }
 
 let run_all profile ~seed =

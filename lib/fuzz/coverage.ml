@@ -10,14 +10,7 @@ let cardinal = S.cardinal
 let novel ~base t = S.cardinal (S.diff t base)
 let to_list = S.elements
 
-let bucket n =
-  if n <= 0 then 0
-  else if n <= 3 then n
-  else if n < 8 then 4
-  else if n < 16 then 8
-  else if n < 32 then 16
-  else if n < 128 then 32
-  else 128
+let bucket = Gcs_conformance.Service.bucket
 
 (* ------------------------ fuzzy state hashing ------------------------ *)
 

@@ -24,11 +24,6 @@ val novel : base:t -> t -> int
 val to_list : t -> string list
 (** Sorted; snapshots of equal maps render to equal bytes. *)
 
-val bucket : int -> int
-(** AFL-style count bucketing: exact 0-3, then 4, 8, 16, 32, 128.
-    Counters contribute the bucket, not the raw count, so runs differing
-    only in uninteresting magnitudes map to the same features. *)
-
 val fuzzy_features : tag:string -> string list -> t
 (** Locality-sensitive hash features over serialized node-state
     snapshots (StateAFL-style): each snapshot is cut into

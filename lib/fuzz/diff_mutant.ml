@@ -1,6 +1,8 @@
 open Gcs_core
 open Gcs_impl
 open Gcs_sim
+module Service = Gcs_conformance.Service
+module Services = Gcs_conformance.Services
 
 (* Planted bugs whose ONLY symptom is cross-backend divergence: each one
    reorders work in a way that is indistinguishable — to every
@@ -8,16 +10,15 @@ open Gcs_sim
    or client timing. A tampered run, taken alone, is a valid execution
    of *some* schedule; only comparing it against a second execution of
    the *same* schedule exposes the lie. They gauge the differential
-   mode the way {!Mutant} and {!Skeen_mutant} gauge the single-execution
-   oracle battery. *)
+   mode the way the services' own planted bugs gauge the
+   single-execution oracle battery. *)
 
 type t = {
   name : string;
   doc : string;
   pair : Differential.pair;  (** the pair whose candidate side it infects *)
   tamper : Gcs_transport.Bus.tamper option;
-  vs : Mutant.t option;
-  skeen : Skeen_mutant.t option;
+  mutant : Service.tagged option;
 }
 
 (* ------------------------- transport tampers ------------------------- *)
@@ -35,8 +36,7 @@ let bus_swap_inputs =
     pair = Differential.Sim_bus;
     tamper =
       Some { Gcs_transport.Bus.swap_inputs_at = Some (0, 0) };
-    vs = None;
-    skeen = None;
+    mutant = None;
   }
 
 (* The same input transposition on the Skeen pair: the serialized
@@ -51,8 +51,7 @@ let skeen_swap_inputs =
     pair = Differential.Skeen_bus;
     tamper =
       Some { Gcs_transport.Bus.swap_inputs_at = Some (0, 0) };
-    vs = None;
-    skeen = None;
+    mutant = None;
   }
 
 (* ---------------------- delivery-delay rewrites ---------------------- *)
@@ -67,124 +66,102 @@ let skeen_swap_inputs =
    node, so no agreement check between candidate nodes fires either. *)
 let delay_k = 2
 
-let delay_deliver_skeen =
-  {
-    Skeen_mutant.name = "skeen-delay-deliver";
-    doc =
-      "each node hands its 2nd delivery to the client one delivery late \
-       (after the next delivery from another origin) — FIFO-safe, so \
-       only cross-backend comparison sees it";
-    expected_checks = [ "divergence" ];
-    instrument =
-      (fun config h ->
-        let n =
-          1 + List.fold_left (fun acc p -> max acc p) 0 config.Gcs_skeen.Skeen.procs
-        in
-        (* One slot per node, each touched only by its own domain (the
-           bus runs handlers on per-node domains); Atomic keeps the
-           slots race-free by construction rather than by argument. *)
-        let counts = Array.init n (fun _ -> Atomic.make 0) in
-        let stash = Array.init n (fun _ -> Atomic.make None) in
-        Skeen_mutant.rewrite
-          (fun me _st es ->
-            let out = ref [] in
-            let emit e = out := e :: !out in
-            List.iter
-              (fun e ->
-                match e with
-                | Engine.Output (To_action.Brcv { src; _ }) -> (
-                    match Atomic.get stash.(me) with
-                    | Some (sorig, held) ->
-                        Atomic.set stash.(me) None;
-                        if Proc.equal sorig src then begin
-                          (* Same origin: restore the original order —
-                             swapping here would break FIFO and light up
-                             a single-execution oracle. *)
-                          emit held;
-                          emit e
-                        end
-                        else begin
-                          emit e;
-                          emit held
-                        end
-                    | None ->
-                        let c = 1 + Atomic.fetch_and_add counts.(me) 1 in
-                        if c = delay_k then
-                          Atomic.set stash.(me) (Some (src, e))
-                        else emit e)
-                | e -> emit e)
-              es;
-            List.rev !out)
-          h);
-  }
+let delay_deliver (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
+    ~name ~doc ~(brcv_src : o -> Proc.t option) =
+  Service.Tagged
+    ( (module S),
+      {
+        Service.name;
+        doc;
+        expected_checks = [ "divergence" ];
+        instrument =
+          (fun config h ->
+            let n = 1 + List.fold_left max 0 (S.procs config) in
+            (* One slot per node, each touched only by its own domain (the
+               bus runs handlers on per-node domains); Atomic keeps the
+               slots race-free by construction rather than by argument. *)
+            let counts = Array.init n (fun _ -> Atomic.make 0) in
+            let stash = Array.init n (fun _ -> Atomic.make None) in
+            Service.rewrite
+              (fun me _st es ->
+                let out = ref [] in
+                let emit e = out := e :: !out in
+                List.iter
+                  (fun e ->
+                    let src =
+                      match e with
+                      | Engine.Output o -> brcv_src o
+                      | _ -> None
+                    in
+                    match src with
+                    | None -> emit e
+                    | Some src -> (
+                        match Atomic.get stash.(me) with
+                        | Some (sorig, held) ->
+                            Atomic.set stash.(me) None;
+                            if Proc.equal sorig src then begin
+                              (* Same origin: restore the original order —
+                                 swapping here would break FIFO and light
+                                 up a single-execution oracle. *)
+                              emit held;
+                              emit e
+                            end
+                            else begin
+                              emit e;
+                              emit held
+                            end
+                        | None ->
+                            let c = 1 + Atomic.fetch_and_add counts.(me) 1 in
+                            if c = delay_k then
+                              Atomic.set stash.(me) (Some (src, e))
+                            else emit e))
+                  es;
+                List.rev !out)
+              h);
+      } )
 
 let skeen_delay_deliver =
+  let doc =
+    "each node hands its 2nd delivery to the client one delivery late \
+     (after the next delivery from another origin) — FIFO-safe, so only \
+     cross-backend comparison sees it"
+  in
   {
     name = "skeen-delay-deliver";
-    doc = delay_deliver_skeen.Skeen_mutant.doc;
+    doc;
     pair = Differential.Skeen_bus;
     tamper = None;
-    vs = None;
-    skeen = Some delay_deliver_skeen;
+    mutant =
+      Some
+        (delay_deliver
+           (module Services.Skeen)
+           ~name:"skeen-delay-deliver" ~doc
+           ~brcv_src:(function To_action.Brcv { src; _ } -> Some src | _ -> None));
   }
 
 (* The same delivery-queue bug in the VStoTO service running on the bus.
    Client deliveries are [To_service.Client (Brcv _)] effects inside a
    stream dominated by [Vs_layer] actions, so only a handler-level
    rewrite can target them — a transport-level output index cannot. *)
-let delay_deliver_vs =
-  {
-    Mutant.name = "vs-delay-deliver";
-    doc =
-      "each VStoTO node hands its 2nd delivery to the client one \
-       delivery late (after the next delivery from another origin) — \
-       FIFO-safe, so only cross-backend comparison sees it";
-    expected_checks = [ "divergence" ];
-    instrument =
-      (fun config h ->
-        let procs = config.To_service.vs.Vs_node.procs in
-        let n = 1 + List.fold_left (fun acc p -> max acc p) 0 procs in
-        let counts = Array.init n (fun _ -> Atomic.make 0) in
-        let stash = Array.init n (fun _ -> Atomic.make None) in
-        Mutant.rewrite
-          (fun me _st es ->
-            let out = ref [] in
-            let emit e = out := e :: !out in
-            List.iter
-              (fun e ->
-                match e with
-                | Engine.Output
-                    (To_service.Client (To_action.Brcv { src; _ })) -> (
-                    match Atomic.get stash.(me) with
-                    | Some (sorig, held) ->
-                        Atomic.set stash.(me) None;
-                        if Proc.equal sorig src then begin
-                          emit held;
-                          emit e
-                        end
-                        else begin
-                          emit e;
-                          emit held
-                        end
-                    | None ->
-                        let c = 1 + Atomic.fetch_and_add counts.(me) 1 in
-                        if c = delay_k then
-                          Atomic.set stash.(me) (Some (src, e))
-                        else emit e)
-                | e -> emit e)
-              es;
-            List.rev !out)
-          h);
-  }
-
 let vs_delay_deliver =
+  let doc =
+    "each VStoTO node hands its 2nd delivery to the client one delivery \
+     late (after the next delivery from another origin) — FIFO-safe, so \
+     only cross-backend comparison sees it"
+  in
   {
     name = "vs-delay-deliver";
-    doc = delay_deliver_vs.Mutant.doc;
+    doc;
     pair = Differential.Sim_bus;
     tamper = None;
-    vs = Some delay_deliver_vs;
-    skeen = None;
+    mutant =
+      Some
+        (delay_deliver
+           (module Services.Vstoto)
+           ~name:"vs-delay-deliver" ~doc
+           ~brcv_src:(function
+             | To_service.Client (To_action.Brcv { src; _ }) -> Some src
+             | _ -> None));
   }
 
 let all =

@@ -1,7 +1,7 @@
-open Gcs_core
 open Gcs_impl
-open Gcs_skeen
 module Divergence = Gcs_conformance.Divergence
+module Service = Gcs_conformance.Service
+module Services = Gcs_conformance.Services
 
 type pair = Sim_bus | Skeen_bus | Vstoto_skeen | Vstoto_sequencer
 
@@ -90,14 +90,15 @@ let judge ~pair ~left_label ~right_label ~compare_fn ~expected left_orders
           divergence_failure ~pair ~left_label ~right_label
             (compare_fn ~left:left_orders ~right:right_orders))
 
-let count_actions trace =
-  List.fold_left
-    (fun (b, d) (_, a) ->
-      match a with
-      | To_action.Bcast _ -> (b + 1, d)
-      | To_action.Brcv _ -> (b, d + 1)
-      | _ -> (b, d))
-    (0, 0) (Timed.actions trace)
+(* The reference side's own verdict wins; of the candidate's, only a
+   crash counts — the planted bugs this mode gauges are the ones no
+   single execution can see, so the candidate's oracles are not the
+   judge. *)
+let first_failure ~ref_obs ~cand_obs judged =
+  match (ref_obs.Runner.verdict, cand_obs.Runner.verdict) with
+  | Some f, _ -> Some f
+  | None, Some ({ Runner.check = "crash"; _ } as f) -> Some f
+  | None, (Some _ | None) -> judged ()
 
 (* ------------------------------ sim-bus ------------------------------ *)
 
@@ -106,83 +107,59 @@ let count_actions trace =
    harness: under them the token fixes one transport-independent total
    order, so the bus — for all its wall-clock nondeterminism — must
    reproduce the simulator's delivered sequences byte for byte. *)
-let execute_sim_bus ?tamper ?vs_mutant ~n input =
+let execute_sim_bus ?tamper ?mutant ~n input =
+  let module V = Services.Vstoto in
   let seq = sequence input in
   let n_msgs = List.length seq in
   let seed = input.Input.seed in
   let config = Gcs_conformance.Differential.config ~n () in
-  let procs = config.To_service.vs.Vs_node.procs in
+  let procs = V.procs config in
   let workload = List.map (fun (p, v) -> (0.0, p, v)) seq in
   (* Reference: the deterministic simulator, with the single-execution
-     coverage instrumentation (transitions, counters, state hashes). *)
+     coverage instrumentation (transitions, counters, state hashes);
+     snapshots are taken at every view install. *)
   let cov = ref Coverage.empty in
-  let snaps = ref [] in
-  let metrics = Gcs_stdx.Metrics.create () in
-  let observe me pre post =
-    cov := Runner.transition_features config me pre post !cov;
-    if
-      To_service.node_views_installed post
-      > To_service.node_views_installed pre
-    then snaps := Runner.snapshot_vstoto post :: !snaps
-  in
-  let sim_run =
-    To_service.run_on ~metrics ~observe
-      ~backend:
-        (Gcs_sim.Backend.of_config (Gcs_sim.Engine.default_config ~delta:5.0))
+  let sim_run, sim_trace, bcasts, deliveries =
+    Runner.instrumented
+      (module V)
+      ~snapshot_point:(fun pre post ->
+        To_service.node_views_installed post
+        > To_service.node_views_installed pre)
+      ~cov
+      ~backend:(Service.sim Services.vstoto ~delta:5.0)
       config ~workload ~failures:[] ~until:400.0 ~seed
   in
-  let bcasts, deliveries = count_actions (To_service.client_trace sim_run) in
-  cov := Runner.counter_features metrics ~bcasts ~deliveries !cov;
-  let finals =
-    List.map
-      (fun (_, node) -> Runner.snapshot_vstoto node)
-      (Proc.Map.bindings sim_run.To_service.final_nodes)
-  in
-  cov :=
-    Coverage.union !cov (Coverage.fuzzy_features ~tag:"vs" (finals @ !snaps));
-  let sim_orders = Divergence.orders ~procs (To_service.client_trace sim_run) in
-  (* Candidate: the bus, stopping as soon as every node has reported the
+  let sim_orders = Divergence.orders ~procs sim_trace in
+  (* Candidate: the bus, stopping as soon as every node has delivered the
      whole workload (the horizon is only the failure fallback). A
      planted bug, if any, applies here — a transport tamper baked into
      the backend, or a handler rewrite instrumenting the VStoTO
-     automata — while the simulator side stays the oracle. Handlers are
-     built by hand (rather than via [To_service.run_on]) precisely so
-     the mutant can instrument them. *)
-  let progress = Array.init n (fun _ -> Atomic.make 0) in
-  let bus_observe p _pre post =
-    let st = To_service.node_app post in
-    Gcs_stdx.Atomicx.store_max progress.(p) (st.Vstoto.nextreport - 1)
+     automata — while the simulator side stays the oracle. *)
+  let bus_orders, bus_events =
+    let run (type c nd i p o) ((module S) : (c, nd, i, p, o) Service.s)
+        mutant params =
+      let config = S.configure params in
+      let workload =
+        List.map (fun (t, p, v) -> (t, p, S.lift config p v)) workload
+      in
+      let observe, stop =
+        Service.drained (module S) config ~workload ~after:Float.neg_infinity
+      in
+      let result =
+        Service.run (module S) ?mutant
+          ~metrics:(Gcs_stdx.Metrics.create ())
+          ?observe ~stop
+          ~backend:(Gcs_transport.Bus.backend ?tamper ())
+          config ~workload ~failures:[] ~until:30.0 ~seed
+      in
+      ( Divergence.orders ~procs
+          (S.client_trace result.Gcs_transport.Iface.trace),
+        result.Gcs_transport.Iface.events_processed )
+    in
+    match mutant with
+    | Some (Service.Tagged (s, m)) -> run s (Some m) config
+    | None -> run (module V) None config
   in
-  let stop ~now:_ ~outputs:_ =
-    Array.for_all (fun a -> Atomic.get a >= n_msgs) progress
-  in
-  let bus_metrics = Gcs_stdx.Metrics.create () in
-  let handlers = To_service.handlers ~metrics:bus_metrics config in
-  let handlers =
-    match vs_mutant with
-    | Some m -> m.Mutant.instrument config handlers
-    | None -> handlers
-  in
-  let (module B : Gcs_transport.Iface.BACKEND) =
-    Gcs_transport.Bus.backend ?tamper ()
-  in
-  let result =
-    B.run ~metrics:bus_metrics ~observe:bus_observe ~stop
-      Wire.msg_packet_codec ~procs ~handlers
-      ~init:(To_service.initial config)
-      ~inputs:workload ~failures:[] ~until:30.0 ~seed
-  in
-  let bus_run =
-    {
-      To_service.trace = result.Gcs_sim.Engine.trace;
-      final_nodes = result.Gcs_sim.Engine.final_states;
-      packets_sent = result.Gcs_sim.Engine.packets_sent;
-      packets_dropped = result.Gcs_sim.Engine.packets_dropped;
-      events_processed = result.Gcs_sim.Engine.events_processed;
-      metrics = bus_metrics;
-    }
-  in
-  let bus_orders = Divergence.orders ~procs (To_service.client_trace bus_run) in
   let verdict =
     judge ~pair:Sim_bus ~left_label:"sim" ~right_label:"bus"
       ~compare_fn:Divergence.compare_orders
@@ -195,7 +172,7 @@ let execute_sim_bus ?tamper ?vs_mutant ~n input =
     bcasts;
     deliveries;
     events_processed =
-      sim_run.To_service.events_processed + bus_run.To_service.events_processed;
+      sim_run.Gcs_transport.Iface.events_processed + bus_events;
   }
 
 (* ----------------------------- skeen-bus ----------------------------- *)
@@ -219,21 +196,24 @@ let skeen_project input =
   in
   { Input.seed = input.Input.seed; steps = []; workload }
 
-let execute_skeen_bus ?tamper ?skeen_mutant ~procs input =
-  let config = Skeen.make_config ~procs in
+(* The shared parameters at link bound [delta]: only the processor set
+   and δ matter to Skeen and the sequencer. *)
+let params ~procs ~delta =
+  To_service.make_config { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta }
+
+let execute_skeen_bus ?tamper ?mutant ~procs input =
+  let config = params ~procs ~delta:skeen_delta in
   let input = skeen_project input in
   let n_msgs = List.length input.Input.workload in
   (* Reference: the FIFO simulator, with the single-execution Skeen
      oracle battery and coverage instrumentation. *)
   let ref_obs, ref_trace =
-    Runner.execute_skeen_full ~delta:skeen_delta ~dests:`Full ~config input
+    Runner.execute_full ~service:Services.skeen ~dests:[] ~config input
   in
   let ref_orders = Divergence.orders ~procs ref_trace in
   (* Candidate: the same schedule on the bus; a planted mutant (handler
      rewrite or transport tamper) applies to this side only, so the
-     reference stays the oracle. The candidate's own single-execution
-     verdicts are deliberately ignored (crashes excepted): the planted
-     bugs this mode gauges are the ones no single execution can see. *)
+     reference stays the oracle. *)
   (* Early exit once every submission and delivery is on the trace (one
      Bcast per message, one Brcv per message per member); the wall-clock
      horizon is only the fallback for runs a mutant wedges. *)
@@ -248,22 +228,17 @@ let execute_skeen_bus ?tamper ?skeen_mutant ~procs input =
   let per_msg = 1 + List.length procs in
   let admit ~outputs ~index = outputs >= index * per_msg in
   let cand_obs, cand_trace =
-    Runner.execute_skeen_full ?mutant:skeen_mutant
+    Runner.execute_full ~service:Services.skeen ?mutant
       ~backend:(Gcs_transport.Bus.backend ?tamper ~admit ())
-      ~stop ~delta:skeen_delta ~dests:`Full ~config input
+      ~stop ~dests:[] ~config input
   in
   let cand_orders = Divergence.orders ~procs cand_trace in
   let verdict =
-    match ref_obs.Runner.verdict with
-    | Some f -> Some f
-    | None -> (
-        match cand_obs.Runner.verdict with
-        | Some ({ Runner.check = "crash"; _ } as f) -> Some f
-        | Some _ | None ->
-            judge ~pair:Skeen_bus ~left_label:"sim" ~right_label:"bus"
-              ~compare_fn:Divergence.compare_orders
-              ~expected:(fun _ -> n_msgs)
-              ref_orders cand_orders)
+    first_failure ~ref_obs ~cand_obs (fun () ->
+        judge ~pair:Skeen_bus ~left_label:"sim" ~right_label:"bus"
+          ~compare_fn:Divergence.compare_orders
+          ~expected:(fun _ -> n_msgs)
+          ref_orders cand_orders)
   in
   {
     ref_obs with
@@ -276,99 +251,72 @@ let execute_skeen_bus ?tamper ?skeen_mutant ~procs input =
 
 (* Two protocols pick different total orders, legitimately: the
    comparison is per-node content (same messages to the same members),
-   which fault-free executions must agree on however they order. *)
-let execute_vstoto_skeen ?skeen_mutant ~config input =
+   which fault-free executions must agree on however they order. Both
+   sides run simulated with VStoTO's δ. *)
+let execute_cross ?mutant ~candidate ~union_coverage pair ~config input =
   let procs = config.To_service.vs.Vs_node.procs in
   let input = strip input in
   let n_msgs = List.length input.Input.workload in
   let ref_obs, ref_trace = Runner.execute_full ~config input in
   let ref_orders = Divergence.orders ~procs ref_trace in
-  let skeen_config = Skeen.make_config ~procs in
   let cand_obs, cand_trace =
-    Runner.execute_skeen_full ?mutant:skeen_mutant
-      ~delta:config.To_service.vs.Vs_node.delta ~dests:`Full
-      ~config:skeen_config input
+    Runner.execute_full ~service:candidate ?mutant ~dests:[] ~config
+      input
   in
   let cand_orders = Divergence.orders ~procs cand_trace in
   let verdict =
-    match ref_obs.Runner.verdict with
-    | Some f -> Some f
-    | None -> (
-        match cand_obs.Runner.verdict with
-        | Some ({ Runner.check = "crash"; _ } as f) -> Some f
-        | Some _ | None ->
-            judge ~pair:Vstoto_skeen ~left_label:"vstoto" ~right_label:"skeen"
-              ~compare_fn:Divergence.compare_contents
-              ~expected:(fun _ -> n_msgs)
-              ref_orders cand_orders)
-  in
-  {
-    ref_obs with
-    Runner.coverage =
-      Coverage.union ref_obs.Runner.coverage cand_obs.Runner.coverage;
-    verdict;
-    events_processed =
-      ref_obs.Runner.events_processed + cand_obs.Runner.events_processed;
-  }
-
-let execute_vstoto_sequencer ~config input =
-  let procs = config.To_service.vs.Vs_node.procs in
-  let delta = config.To_service.vs.Vs_node.delta in
-  let input = strip input in
-  let n_msgs = List.length input.Input.workload in
-  let ref_obs, ref_trace = Runner.execute_full ~config input in
-  let ref_orders = Divergence.orders ~procs ref_trace in
-  let seq_config = Gcs_baseline.Sequencer.make_config ~procs in
-  let workload_end =
-    List.fold_left
-      (fun acc (t, _, _) -> Float.max acc t)
-      0.0 input.Input.workload
-  in
-  let cand_run =
-    Gcs_baseline.Sequencer.run ~delta seq_config ~workload:input.Input.workload
-      ~failures:[]
-      ~until:(workload_end +. (50.0 *. delta))
-      ~seed:input.Input.seed
-  in
-  let cand_orders =
-    Divergence.orders ~procs cand_run.Gcs_baseline.Sequencer.trace
-  in
-  let verdict =
-    match ref_obs.Runner.verdict with
-    | Some f -> Some f
-    | None ->
-        judge ~pair:Vstoto_sequencer ~left_label:"vstoto"
-          ~right_label:"sequencer" ~compare_fn:Divergence.compare_contents
+    first_failure ~ref_obs ~cand_obs (fun () ->
+        judge ~pair ~left_label:"vstoto" ~right_label:(Service.name candidate)
+          ~compare_fn:Divergence.compare_contents
           ~expected:(fun _ -> n_msgs)
-          ref_orders cand_orders
+          ref_orders cand_orders)
   in
-  { ref_obs with Runner.verdict }
+  if union_coverage then
+    {
+      ref_obs with
+      Runner.coverage =
+        Coverage.union ref_obs.Runner.coverage cand_obs.Runner.coverage;
+      verdict;
+      events_processed =
+        ref_obs.Runner.events_processed + cand_obs.Runner.events_processed;
+    }
+  else { ref_obs with Runner.verdict }
 
 (* ------------------------------ dispatch ----------------------------- *)
 
-let execute ?tamper ?vs_mutant ?skeen_mutant ~config pair input =
-  let procs = config.To_service.vs.Vs_node.procs in
-  (try
-     match pair with
-     | Sim_bus ->
-         execute_sim_bus ?tamper ?vs_mutant ~n:(List.length procs) input
-     | Skeen_bus -> execute_skeen_bus ?tamper ?skeen_mutant ~procs input
-     | Vstoto_skeen -> execute_vstoto_skeen ?skeen_mutant ~config input
-     | Vstoto_sequencer -> execute_vstoto_sequencer ~config input
-   with e ->
-     {
-       Runner.coverage = Coverage.empty;
-       verdict = Some { Runner.check = "crash"; detail = Printexc.to_string e };
-       bcasts = 0;
-       deliveries = 0;
-       events_processed = 0;
-     })
-  [@gcs.lint.allow "P2" (* crash-as-verdict, same policy as Runner *)]
+let candidate = function
+  | Sim_bus -> Services.vstoto
+  | Skeen_bus | Vstoto_skeen -> Services.skeen
+  | Vstoto_sequencer -> Services.sequencer
 
-let oracle ?tamper ?vs_mutant ?skeen_mutant ~config ~check pair input =
-  match
-    (execute ?tamper ?vs_mutant ?skeen_mutant ~config pair input).Runner.verdict
-  with
+(* The pairing check runs once the pair is applied, so a partial
+   application checks once for a whole campaign. *)
+let execute ?tamper ?mutant ~config pair =
+  Option.iter (Service.check_mutant (candidate pair)) mutant;
+  let procs = config.To_service.vs.Vs_node.procs in
+  fun input ->
+    (try
+       match pair with
+       | Sim_bus -> execute_sim_bus ?tamper ?mutant ~n:(List.length procs) input
+       | Skeen_bus -> execute_skeen_bus ?tamper ?mutant ~procs input
+       | Vstoto_skeen ->
+           execute_cross ?mutant ~candidate:Services.skeen ~union_coverage:true
+             pair ~config input
+       | Vstoto_sequencer ->
+           execute_cross ?mutant ~candidate:Services.sequencer
+             ~union_coverage:false pair ~config input
+     with e ->
+       {
+         Runner.coverage = Coverage.empty;
+         verdict = Some { Runner.check = "crash"; detail = Printexc.to_string e };
+         bcasts = 0;
+         deliveries = 0;
+         events_processed = 0;
+       })
+    [@gcs.lint.allow "P2" (* crash-as-verdict, same policy as Runner *)]
+
+let oracle ?tamper ?mutant ~config ~check pair input =
+  match (execute ?tamper ?mutant ~config pair input).Runner.verdict with
   | Some f when String.equal f.Runner.check check -> Some f
   | Some _ | None -> None
 

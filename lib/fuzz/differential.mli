@@ -48,10 +48,14 @@ val doc : pair -> string
 val strip : Input.t -> Input.t
 (** The fault-free projection applied to every differential input. *)
 
+val candidate : pair -> Gcs_conformance.Service.t
+(** The service on the candidate (second) side: VStoTO for [Sim_bus],
+    Skeen for [Skeen_bus] and [Vstoto_skeen], the sequencer for
+    [Vstoto_sequencer]. *)
+
 val execute :
   ?tamper:Gcs_transport.Bus.tamper ->
-  ?vs_mutant:Mutant.t ->
-  ?skeen_mutant:Skeen_mutant.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
   config:To_service.config ->
   pair ->
   Input.t ->
@@ -64,13 +68,14 @@ val execute :
     single-execution runners). Coverage comes from the reference
     execution — including fuzzy-hashed state snapshots — so the
     coverage-guided loop steers by deterministic features only.
-    [tamper], [vs_mutant] and [skeen_mutant] instrument the candidate
-    side only. *)
+    [tamper] and [mutant] instrument the candidate side only; a mutant
+    of another service than the pair's {!candidate} raises
+    [Invalid_argument] as soon as the pair is applied, before anything
+    runs. *)
 
 val oracle :
   ?tamper:Gcs_transport.Bus.tamper ->
-  ?vs_mutant:Mutant.t ->
-  ?skeen_mutant:Skeen_mutant.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
   config:To_service.config ->
   check:string ->
   pair ->

@@ -237,37 +237,20 @@ let mutate ~procs ~prng ~fresh ~max_events ~choices corpus =
 
 (* ----------------------------- main loop ----------------------------- *)
 
-type service = Vstoto_stack | Skeen_backend
-
-let run ?mutant ?skeen_mutant ?tamper ?pair ?service ?(seeds = []) ?jobs
-    ?(batch = 8) ?(shrink_budget = 600) ?(max_events = 40)
-    ?(stop_on_failure = true) ?should_stop ?progress ~config ~seed ~execs () =
+let run ?service ?mutant ?tamper ?pair ?(seeds = []) ?jobs ?(batch = 8)
+    ?(shrink_budget = 600) ?(max_events = 40) ?(stop_on_failure = true)
+    ?should_stop ?progress ~config ~seed ~execs () =
   let procs = config.To_service.vs.Vs_node.procs in
-  (* A Skeen mutant implies the Skeen service: `gcs fuzz --mutant
-     skeen-*` needs no extra flag, so the CI canary loop iterates one
-     flat mutant list. *)
-  let service =
-    match service with
-    | Some s -> s
-    | None ->
-        if Option.is_some skeen_mutant then Skeen_backend else Vstoto_stack
-  in
-  let skeen_config = Gcs_skeen.Skeen.make_config ~procs in
-  let delta = config.To_service.vs.Vs_node.delta in
-  (* In differential mode [mutant] and [skeen_mutant] instrument the
-     candidate side of the pair (they are the planted-bug hooks of
-     {!Diff_mutant}); single-execution modes use them as before. *)
-  let execute input =
+  (* In differential mode [mutant] instruments the candidate side of the
+     pair (a {!Diff_mutant} hook); otherwise it picks the service when
+     none is named. Either way a mutant of the wrong service is refused
+     here, before anything runs. *)
+  let execute =
     match pair with
-    | Some p ->
-        Differential.execute ?tamper ?vs_mutant:mutant ?skeen_mutant ~config p
-          input
-    | None -> (
-        match service with
-        | Vstoto_stack -> Runner.execute ?mutant ~config input
-        | Skeen_backend ->
-            Runner.execute_skeen ?mutant:skeen_mutant ~delta
-              ~config:skeen_config input)
+    | Some p -> Differential.execute ?tamper ?mutant ~config p
+    | None ->
+        let service = Runner.subject ?service ?mutant () in
+        fun input -> Runner.execute ~service ?mutant ~config input
   in
   let prng = Prng.create seed in
   let fresh = ref 0 in
@@ -342,21 +325,14 @@ let run ?mutant ?skeen_mutant ?tamper ?pair ?service ?(seeds = []) ?jobs
     match failure with
     | None -> None
     | Some (input, f) ->
-        let oracle =
+        let oracle input =
           match pair with
           | Some p ->
-              fun input ->
-                Differential.oracle ?tamper ?vs_mutant:mutant ?skeen_mutant
-                  ~config ~check:f.Runner.check p input
-          | None -> (
-              match service with
-              | Vstoto_stack ->
-                  fun input ->
-                    Runner.oracle ?mutant ~config ~check:f.Runner.check input
-              | Skeen_backend ->
-                  fun input ->
-                    Runner.skeen_oracle ?mutant:skeen_mutant ~delta
-                      ~config:skeen_config ~check:f.Runner.check input)
+              Differential.oracle ?tamper ?mutant ~config ~check:f.Runner.check
+                p input
+          | None ->
+              Runner.oracle ?service ?mutant ~config ~check:f.Runner.check
+                input
         in
         Some (Shrink.minimize ~budget:shrink_budget ~oracle input f)
   in

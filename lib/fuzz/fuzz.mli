@@ -38,17 +38,11 @@ type outcome = {
   shrunk : Shrink.result option;
 }
 
-type service = Vstoto_stack | Skeen_backend
-(** Which service an input drives: the VStoTO stack (default) or the
-    Skeen total-order backend with its own oracle chain
-    ({!Runner.execute_skeen}). *)
-
 val run :
-  ?mutant:Mutant.t ->
-  ?skeen_mutant:Skeen_mutant.t ->
+  ?service:Gcs_conformance.Service.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
   ?tamper:Gcs_transport.Bus.tamper ->
   ?pair:Differential.pair ->
-  ?service:service ->
   ?seeds:Input.t list ->
   ?jobs:int ->
   ?batch:int ->
@@ -66,18 +60,20 @@ val run :
     [execs] executions are spent. [batch] (default 8) candidates are
     generated per round; [max_events] (default 40) caps mutated schedule
     size; [jobs] defaults to [GCS_JOBS]; [progress] is called after every
-    round. [service] selects the system under test; passing
-    [skeen_mutant] implies the Skeen service (the Skeen run reuses the
-    config's processor set and δ). [mutant] and [skeen_mutant] are
-    mutually exclusive in intent — the one matching the active service
-    is used, the other ignored.
+    round. [service] selects the system under test
+    ({!Gcs_conformance.Services}); the service derives its configuration
+    from [config] (its processor set, δ, and for VStoTO everything
+    else). [mutant] plants one of a
+    service's bugs and implies that service; a mutant of another service
+    than [service] raises [Invalid_argument] before anything runs.
 
     [pair] switches the loop to differential mode: every execution is
     {!Differential.execute} on that pair, the seed corpus is
     {!Differential.seed_inputs}, and mutation works the diff genome only
     (sequence order, origins, count, seed — no fault steps). In this
-    mode [tamper], [mutant] and [skeen_mutant] are the {!Diff_mutant}
-    hooks infecting the candidate side.
+    mode [tamper] and [mutant] are the {!Diff_mutant} hooks infecting
+    the candidate side, and [mutant] must belong to the pair's
+    {!Differential.candidate}.
 
     [seeds] are extra schedules replayed after the built-in seed corpus
     — a loaded {!Corpus} — and admitted under the same novelty rule,

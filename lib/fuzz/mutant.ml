@@ -2,70 +2,22 @@ open Gcs_core
 open Gcs_impl
 open Gcs_sim
 
-type handlers =
-  (To_service.node, Value.t, Msg.t Wire.packet, To_service.out)
-  Engine.handlers
+type t =
+  ( To_service.config,
+    To_service.node,
+    Value.t,
+    Msg.t Wire.packet,
+    To_service.out )
+  Gcs_conformance.Service.mutant
 
-type t = {
-  name : string;
-  doc : string;
-  expected_checks : string list;
-  instrument : To_service.config -> handlers -> handlers;
-}
-
-(* Rewrite every effect batch through [f me post_state effects]. *)
-let rewrite f (h : handlers) : handlers =
-  {
-    Engine.on_start =
-      (fun me st ->
-        let st', es = h.Engine.on_start me st in
-        (st', f me st' es));
-    on_input =
-      (fun me ~now v st ->
-        let st', es = h.Engine.on_input me ~now v st in
-        (st', f me st' es));
-    on_packet =
-      (fun me ~now ~src p st ->
-        let st', es = h.Engine.on_packet me ~now ~src p st in
-        (st', f me st' es));
-    on_timer =
-      (fun me ~now ~id st ->
-        let st', es = h.Engine.on_timer me ~now ~id st in
-        (st', f me st' es));
-  }
-
-(* A mutation that fires at most once per run: [f] returns [Some effects']
-   when its trigger holds and it rewrote the batch. The latch lives in the
-   closure, so each [instrument] call (one per executed run) is
-   independent — required for fan-out on a domain pool. *)
-let once f h =
-  let fired = ref false in
-  rewrite
-    (fun me st es ->
-      if !fired then es
-      else
-        match f me st es with
-        | Some es' ->
-            fired := true;
-            es'
-        | None -> es)
-    h
+let once = Gcs_conformance.Service.once
+let split_at = Gcs_conformance.Service.split_at
 
 let is_brcv = function
   | Engine.Output (To_service.Client (To_action.Brcv _)) -> true
   | _ -> false
 
-(* Split [es] at the first element satisfying [p]:
-   [(before, hit, after)]. *)
-let split_at p es =
-  let rec go before = function
-    | [] -> None
-    | e :: rest when p e -> Some (List.rev before, e, rest)
-    | e :: rest -> go (e :: before) rest
-  in
-  go [] es
-
-let dup_delivery =
+let dup_delivery : t =
   {
     name = "dup-delivery";
     doc = "a delivery is handed to the client twice after the third view";
@@ -83,7 +35,7 @@ let dup_delivery =
           h);
   }
 
-let drop_delivery =
+let drop_delivery : t =
   {
     name = "drop-delivery";
     doc = "a delivery is silently lost after the second view";
@@ -100,7 +52,7 @@ let drop_delivery =
           h);
   }
 
-let reorder_deliveries =
+let reorder_deliveries : t =
   {
     name = "reorder-deliveries";
     doc = "two same-batch deliveries reach the client in swapped order";
@@ -124,7 +76,7 @@ let is_newview num = function
       view.View.id.View_id.num >= num
   | _ -> false
 
-let skip_newview =
+let skip_newview : t =
   {
     name = "skip-newview";
     doc = "a newview announcement is swallowed once view numbers reach 2";
@@ -144,7 +96,7 @@ let gprcv_src = function
       Some src
   | _ -> None
 
-let reorder_gprcv =
+let reorder_gprcv : t =
   {
     name = "reorder-gprcv";
     doc = "two same-sender VS deliveries within a view are swapped";
@@ -170,7 +122,7 @@ let reorder_gprcv =
           h);
   }
 
-let misattribute_delivery =
+let misattribute_delivery : t =
   {
     name = "misattribute-delivery";
     doc = "a delivery made in a minority view reports the wrong sender";
@@ -205,7 +157,7 @@ let misattribute_delivery =
           h);
   }
 
-let all =
+let vstoto =
   [
     dup_delivery;
     drop_delivery;
@@ -215,5 +167,12 @@ let all =
     misattribute_delivery;
   ]
 
-let find name = List.find_opt (fun m -> String.equal m.name name) all
-let names = List.map (fun m -> m.name) all
+let all =
+  Gcs_conformance.(
+    Service.tag (module Services.Vstoto) vstoto
+    @ Service.tag (module Services.Skeen) Skeen_mutant.all)
+
+let find name =
+  List.find_opt
+    (fun m -> String.equal (Gcs_conformance.Service.mutant_name m) name)
+    all

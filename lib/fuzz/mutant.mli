@@ -1,7 +1,8 @@
 open Gcs_core
 open Gcs_impl
 
-(** Planted bugs, for validating the fuzzer end to end.
+(** Planted bugs in the VStoTO service, for validating the fuzzer end to
+    end.
 
     A mutant emulates a protocol-level defect in VStoTO / VS-node
     behaviour by rewriting the effect batches the real handlers produce —
@@ -13,35 +14,22 @@ open Gcs_impl
     the fuzzer must be able to find, and what the shrinker must preserve
     while minimizing. Every mutant is constructed so that some run-level
     oracle (TO/VS conformance, the Theorem 7.2 delivery bound, or a
-    node-local invariant) flags the rewritten run. *)
+    node-local invariant) flags the rewritten run. The mutant type and
+    its rewrite combinators are generic ({!Gcs_conformance.Service.mutant});
+    this module holds only the VStoTO list. *)
 
-type handlers =
-  (To_service.node, Value.t, Msg.t Wire.packet, To_service.out)
-  Gcs_sim.Engine.handlers
+type t =
+  ( To_service.config,
+    To_service.node,
+    Value.t,
+    Msg.t Wire.packet,
+    To_service.out )
+  Gcs_conformance.Service.mutant
 
-type t = {
-  name : string;
-  doc : string;  (** the emulated defect, one line *)
-  expected_checks : string list;
-      (** oracles that may flag it, e.g. [["to-conformance"]] — a dropped
-          delivery surfaces as an order gap or as a bound violation
-          depending on whether later deliveries follow it *)
-  instrument : To_service.config -> handlers -> handlers;
-      (** fresh instrumentation per call: the fire-once latch is allocated
-          inside, so instrumented runs on a domain pool stay independent *)
-}
+val vstoto : t list
 
-val rewrite :
-  (Proc.t ->
-   To_service.node ->
-   (Msg.t Wire.packet, To_service.out) Gcs_sim.Engine.effect list ->
-   (Msg.t Wire.packet, To_service.out) Gcs_sim.Engine.effect list) ->
-  handlers ->
-  handlers
-(** Route every handler's effect batch through [f me post_state effects]
-    — the building block for mutants with richer per-node state than the
-    fire-once latch (e.g. {!Diff_mutant}'s delivery-delay rewrite). *)
+val all : Gcs_conformance.Service.tagged list
+(** Every service's planted bugs, in registry order — the
+    [--list-mutants] catalog. *)
 
-val all : t list
-val find : string -> t option
-val names : string list
+val find : string -> Gcs_conformance.Service.tagged option

@@ -1,7 +1,7 @@
 open Gcs_core
-open Gcs_impl
 open Gcs_nemesis
-open Gcs_sim
+module Service = Gcs_conformance.Service
+module Services = Gcs_conformance.Services
 
 type failure = { check : string; detail : string }
 
@@ -13,463 +13,148 @@ type observation = {
   events_processed : int;
 }
 
-(* ------------------------- coverage features ------------------------- *)
-
-let status_name = function
-  | Vstoto.Normal -> "normal"
-  | Vstoto.Send -> "send"
-  | Vstoto.Collect -> "collect"
-
-let view_feature = function
-  | None -> "-"
-  | Some v ->
-      Printf.sprintf "%d.%d" (Coverage.bucket v.View.id.View_id.num)
-        (Proc.Set.cardinal v.View.set)
-
-let view_changed pre post =
-  match (To_service.node_view pre, To_service.node_view post) with
-  | None, None -> false
-  | Some a, Some b -> not (View_id.equal a.View.id b.View.id)
-  | None, Some _ | Some _, None -> true
-
-(* Deterministic serialization of a node's VStoTO-visible state — the
-   raw material for fuzzy-hashed state coverage: status, view, delivery
-   counters, the full delivered order, and the sizes of every queue the
-   protocol keeps (buffer, delay, pipeline holds, exchange bookkeeping),
-   plus the service-level view-install count and staging depth. *)
-let snapshot_vstoto node =
-  let st = To_service.node_app node in
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf "status=%s view=%s installed=%d staging=%d\n"
-    (match To_service.node_status node with
-    | Vstoto.Normal -> "normal"
-    | Vstoto.Send -> "send"
-    | Vstoto.Collect -> "collect")
-    (match To_service.node_view node with
-    | None -> "-"
-    | Some v ->
-        Printf.sprintf "%d/%d" v.View.id.View_id.num
-          (Proc.Set.cardinal v.View.set))
-    (To_service.node_views_installed node)
-    (List.length (To_service.node_staging node));
-  Printf.bprintf buf "nr=%d nc=%d seq=%d\n" st.Vstoto.nextreport
-    st.Vstoto.nextconfirm st.Vstoto.nextseqno;
-  List.iter
-    (fun l -> Printf.bprintf buf "o %s\n" (Format.asprintf "%a" Label.pp l))
-    (Gcs_stdx.Tape.to_list st.Vstoto.order);
-  Printf.bprintf buf "buf=%d delay=%d held=%d hsafe=%d got=%d sx=%d sl=%d\n"
-    (Gcs_stdx.Tape.length st.Vstoto.buffer)
-    (Gcs_stdx.Tape.length st.Vstoto.delay)
-    (Gcs_stdx.Tape.length st.Vstoto.held)
-    (Gcs_stdx.Tape.length st.Vstoto.held_safe)
-    (Proc.Map.cardinal st.Vstoto.gotstate)
-    (Proc.Set.cardinal st.Vstoto.safe_exch)
-    (Label.Set.cardinal st.Vstoto.safe_labels);
-  Buffer.contents buf
-
-(* Features of one handler application: VStoTO status-pair transitions,
-   primary/non-primary switches, and (bucketed view number, membership
-   size) edges. Deliberately processor-free: the abstraction should
-   identify symmetric schedules, not tell processors apart. *)
-let transition_features config me pre post acc =
-  let acc =
-    let s1 = To_service.node_status pre and s2 = To_service.node_status post in
-    if Vstoto.status_equal s1 s2 then acc
-    else
-      Coverage.add acc
-        (Printf.sprintf "st:%s>%s" (status_name s1) (status_name s2))
-  in
-  let acc =
-    let p1 = To_service.node_primary config me pre
-    and p2 = To_service.node_primary config me post in
-    if Bool.equal p1 p2 then acc
-    else Coverage.add acc (Printf.sprintf "pr:%b>%b" p1 p2)
-  in
-  let v1 = To_service.node_view pre and v2 = To_service.node_view post in
-  let changed =
-    match (v1, v2) with
-    | None, None -> false
-    | Some a, Some b -> not (View_id.equal a.View.id b.View.id)
-    | None, Some _ | Some _, None -> true
-  in
-  if changed then
-    Coverage.add acc
-      (Printf.sprintf "vw:%s>%s" (view_feature v1) (view_feature v2))
-  else acc
-
-(* Bucketed run-level counters: packet fates per link status, membership
-   and token activity, client-visible throughput. *)
-let counter_names =
-  [
-    "engine.packets_sent.good";
-    "engine.packets_sent.self";
-    "engine.packets_sent.ugly";
-    "engine.packets_dropped.bad";
-    "engine.packets_dropped.ugly";
-    "engine.events_held.bad";
-    "engine.events_delayed.ugly";
-    "vs.membership_rounds";
-    "vs.token_roundtrips";
-    "vs.tokens_launched";
-    "vs.views_installed";
-  ]
-
-let counter_features metrics ~bcasts ~deliveries acc =
+let counter_features metrics ~names ~tag ~bcasts ~deliveries acc =
   let acc =
     List.fold_left
       (fun acc name ->
         Coverage.add acc
           (Printf.sprintf "m:%s=%d" name
-             (Coverage.bucket (Gcs_stdx.Metrics.counter metrics name))))
-      acc counter_names
+             (Service.bucket (Gcs_stdx.Metrics.counter metrics name))))
+      acc names
   in
   let acc =
-    Coverage.add acc (Printf.sprintf "m:to.bcasts=%d" (Coverage.bucket bcasts))
+    Coverage.add acc
+      (Printf.sprintf "m:%s.bcasts=%d" tag (Service.bucket bcasts))
   in
   Coverage.add acc
-    (Printf.sprintf "m:to.deliveries=%d" (Coverage.bucket deliveries))
+    (Printf.sprintf "m:%s.deliveries=%d" tag (Service.bucket deliveries))
 
-(* -------------------------- node invariants -------------------------- *)
-
-(* The invariants themselves live in {!Gcs_conformance.Oracle} (the
-   conformance suite needs them, and the fuzzer now depends on the
-   conformance library for the divergence comparator, so the dependency
-   points that way). *)
-let vstoto_invariants = Gcs_conformance.Oracle.vstoto_invariants
-
-let node_invariant_failure final_states =
-  match Gcs_conformance.Oracle.node_invariant_failure final_states with
-  | Some (check, detail) -> Some { check; detail }
-  | None -> None
-
-(* ------------------------------ verdict ------------------------------ *)
-
-let verdict config ~procs ~until run final_states =
-  match To_service.to_conforms config run with
-  | Error e ->
-      Some
-        {
-          check = "to-conformance";
-          detail = Format.asprintf "%a" To_trace_checker.pp_error e;
-        }
-  | Ok () -> (
-      match To_service.vs_conforms config run with
-      | Error e ->
-          Some
-            {
-              check = "vs-conformance";
-              detail = Format.asprintf "%a" Vs_trace_checker.pp_error e;
-            }
-      | Ok () ->
-          let b', d' = Harness.bounds config in
-          let report =
-            To_property.check ~b:b' ~d:d' ~q:procs ~horizon:until
-              (To_service.client_trace run)
-          in
-          if not (To_property.holds report) then
-            Some
-              {
-                check = "delivery-bound";
-                detail = Format.asprintf "%a" To_property.pp_report report;
-              }
-          else node_invariant_failure final_states)
+let subject ?service ?mutant () =
+  match (service, mutant) with
+  | Some s, Some m ->
+      Service.check_mutant s m;
+      s
+  | Some s, None -> s
+  | None, Some m -> Service.mutant_service m
+  | None, None -> Services.vstoto
 
 (* ------------------------------ execute ------------------------------ *)
 
-let execute_full ?mutant ?backend ~config input =
-  let procs = config.To_service.vs.Vs_node.procs in
+let crashed cov e =
+  ( {
+      coverage = cov;
+      verdict = Some { check = "crash"; detail = Printexc.to_string e };
+      bcasts = 0;
+      deliveries = 0;
+      events_processed = 0;
+    },
+    [] )
+
+(* One coverage-instrumented run: transition features through
+   [observe], state snapshots at the service's quiescent points plus the
+   final states, and the bucketed run-level counters. On the bus,
+   [observe] calls are serialized by the backend, so the accumulators
+   need no extra locking. *)
+let instrumented (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
+    ?mutant ?stop ?(snapshot_point = S.snapshot_point) ~cov ~backend config
+    ~workload ~failures ~until ~seed =
+  let metrics = Gcs_stdx.Metrics.create () in
+  let snaps = ref [] in
+  let observe me pre post =
+    cov :=
+      List.fold_left Coverage.add !cov (S.transition_features config me pre post);
+    if snapshot_point pre post then snaps := S.snapshot post :: !snaps
+  in
+  let result =
+    Service.run (module S) ?mutant ~metrics ~observe ?stop ~backend config
+      ~workload ~failures ~until ~seed
+  in
+  let trace = S.client_trace result.Gcs_transport.Iface.trace in
+  let bcasts, deliveries = Service.tally trace in
+  cov :=
+    counter_features metrics ~names:S.counter_names ~tag:S.counter_tag ~bcasts
+      ~deliveries !cov;
+  let finals =
+    List.map
+      (fun (_, node) -> S.snapshot node)
+      (Proc.Map.bindings result.Gcs_transport.Iface.final_states)
+  in
+  cov :=
+    Coverage.union !cov
+      (Coverage.fuzzy_features ~tag:S.fuzzy_tag (finals @ !snaps));
+  (result, trace, bcasts, deliveries)
+
+let run (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
+    (mutant : (c, n, i, p, o) Service.mutant option) ?backend ?stop ?dests
+    ~config input =
+  let delta = config.Gcs_impl.To_service.vs.Gcs_impl.Vs_node.delta in
+  let config = S.configure config in
+  let procs = S.procs config in
   let scenario = Input.scenario ~procs input in
-  let until = Harness.default_until ~config scenario in
-  let cov = ref Coverage.empty in
-  (try
-     let failures = Scenario.compile ~procs scenario in
-     let metrics = Gcs_stdx.Metrics.create () in
-     let handlers = To_service.handlers ~metrics config in
-     let handlers =
-       match mutant with
-       | Some m -> m.Mutant.instrument config handlers
-       | None -> handlers
-     in
-     (* State snapshots at quiescent points — every view install is a
-        stable cut of the node's state — plus the final states below.
-        On the bus, [observe] calls are serialized by the backend, so
-        the accumulator needs no extra locking. *)
-     let snaps = ref [] in
-     let observe me pre post =
-       cov := transition_features config me pre post !cov;
-       if view_changed pre post then snaps := snapshot_vstoto post :: !snaps
-     in
-     let result =
-       match backend with
-       | None ->
-           Engine.run ~metrics ~observe
-             (Engine.default_config ~delta:config.To_service.vs.Vs_node.delta)
-             ~procs ~handlers
-             ~init:(To_service.initial config)
-             ~inputs:input.Input.workload ~failures ~until
-             ~prng:(Gcs_stdx.Prng.create input.Input.seed)
-       | Some (module B : Gcs_transport.Iface.BACKEND) ->
-           B.run ~metrics ~observe Wire.msg_packet_codec ~procs ~handlers
-             ~init:(To_service.initial config)
-             ~inputs:input.Input.workload ~failures ~until
-             ~seed:input.Input.seed
-     in
-     let run =
-       {
-         To_service.trace = result.Engine.trace;
-         final_nodes = result.Engine.final_states;
-         packets_sent = result.Engine.packets_sent;
-         packets_dropped = result.Engine.packets_dropped;
-         events_processed = result.Engine.events_processed;
-         metrics;
-       }
-     in
-     let bcasts =
-       List.length
-         (List.filter
-            (fun (_, a) ->
-              match a with To_action.Bcast _ -> true | _ -> false)
-            (Timed.actions (To_service.client_trace run)))
-     in
-     let deliveries = To_service.deliveries run in
-     cov := counter_features metrics ~bcasts ~deliveries !cov;
-     let finals =
-       List.map
-         (fun (_, node) -> snapshot_vstoto node)
-         (Proc.Map.bindings result.Engine.final_states)
-     in
-     cov :=
-       Coverage.union !cov
-         (Coverage.fuzzy_features ~tag:"vs" (finals @ !snaps));
-     ( {
-         coverage = !cov;
-         verdict = verdict config ~procs ~until run result.Engine.final_states;
-         bcasts;
-         deliveries;
-         events_processed = result.Engine.events_processed;
-       },
-       To_service.client_trace run )
-   with e ->
-     (* Any escape from the simulator or a checker is a finding in its own
-        right; converting it keeps domain-pool batches alive and lets the
-        shrinker minimize crashing schedules like any other failure. *)
-     ( {
-         coverage = !cov;
-         verdict = Some { check = "crash"; detail = Printexc.to_string e };
-         bcasts = 0;
-         deliveries = 0;
-         events_processed = 0;
-       },
-       [] ))
-  [@gcs.lint.allow "P2"]
-
-let execute ?mutant ?backend ~config input =
-  fst (execute_full ?mutant ?backend ~config input)
-
-let replay ?mutant ?backend ~config input =
-  let obs, trace = execute_full ?mutant ?backend ~config input in
-  (trace, obs.verdict)
-
-let oracle ?mutant ?backend ~config ~check input =
-  match (execute ?mutant ?backend ~config input).verdict with
-  | Some f when String.equal f.check check -> Some f
-  | Some _ | None -> None
-
-(* --------------------------- skeen service --------------------------- *)
-
-open Gcs_skeen
-
-(* Destination subsets are derived, not stored: a deterministic hash of
-   (origin, value) picks a subset of the group (empty hash picks fall
-   back to full-group addressing). The same input therefore always runs
-   the same multi-group workload — through the fuzzer, the shrinker and
-   a repro replay alike. *)
-let skeen_dests ~procs origin value =
-  let h =
-    String.fold_left
-      (fun acc c -> (acc * 131) + Char.code c)
-      ((origin * 7) + 13)
-      value
+  let workload =
+    List.map
+      (fun (t, p, v) -> (t, p, S.lift ?dests config p v))
+      input.Input.workload
   in
-  List.filter (fun p -> (h lsr (p mod 12)) land 1 = 1) procs
-
-(* [`Full] is the differential mode's dest-subset replay hook: the
-   VStoTO stack and the sequencer always address the whole group, so a
-   cross-protocol comparison must force Skeen onto the same footing. *)
-let skeen_workload ?(dests = `Hashed) ~procs workload =
-  match dests with
-  | `Full ->
-      List.map (fun (t, p, v) -> (t, p, Skeen.full_group v)) workload
-  | `Hashed ->
-      List.map
-        (fun (t, p, v) ->
-          (t, p, { Skeen.value = v; dests = skeen_dests ~procs p v }))
-        workload
-
-(* Processor-free abstract-state features: bucketed pending-set size,
-   delivery count and logical-clock transitions. *)
-let skeen_transition_features pre post acc =
-  let edge tag f acc =
-    let b1 = Coverage.bucket (f pre) and b2 = Coverage.bucket (f post) in
-    if b1 = b2 then acc
-    else Coverage.add acc (Printf.sprintf "sk.%s:%d>%d" tag b1 b2)
-  in
-  acc
-  |> edge "pend" Skeen.node_pending
-  |> edge "del" Skeen.node_delivered
-  |> edge "clk" Skeen.node_clock
-
-let skeen_counter_names =
-  [
-    "engine.packets_sent.good";
-    "engine.packets_sent.self";
-    "engine.packets_sent.ugly";
-    "engine.packets_dropped.bad";
-    "engine.packets_dropped.ugly";
-    "engine.events_held.bad";
-    "engine.events_delayed.ugly";
-  ]
-
-let skeen_counter_features metrics ~bcasts ~deliveries acc =
-  let acc =
-    List.fold_left
-      (fun acc name ->
-        Coverage.add acc
-          (Printf.sprintf "m:%s=%d" name
-             (Coverage.bucket (Gcs_stdx.Metrics.counter metrics name))))
-      acc skeen_counter_names
-  in
-  let acc =
-    Coverage.add acc (Printf.sprintf "m:sk.bcasts=%d" (Coverage.bucket bcasts))
-  in
-  Coverage.add acc
-    (Printf.sprintf "m:sk.deliveries=%d" (Coverage.bucket deliveries))
-
-(* Skeen's oracle chain: the multi-group order oracle and the node
-   invariants on every run; completeness only on fault-free inputs —
-   the protocol has no retransmission, so any fault step may
-   legitimately wedge a destination. *)
-let skeen_verdict config ~workload ~faulty trace final_nodes =
-  match Skeen.check_group_order config ~workload trace with
-  | Error detail -> Some { check = "skeen-group-order"; detail }
-  | Ok () -> (
-      match Skeen.node_invariant_failure final_nodes with
-      | Some (check, detail) -> Some { check; detail }
-      | None ->
-          if faulty then None
-          else (
-            match Skeen.check_complete config ~workload trace with
-            | Error detail -> Some { check = "skeen-completeness"; detail }
-            | Ok () -> None))
-
-let execute_skeen_full ?mutant ?backend ?stop ?(delta = 1.0) ?dests ~config
-    input =
-  let procs = config.Skeen.procs in
-  let scenario = Input.scenario ~procs input in
-  let workload = skeen_workload ?dests ~procs input.Input.workload in
   let workload_end =
     List.fold_left (fun acc (t, _, _) -> Float.max acc t) 0.0 workload
   in
   let until =
-    Float.max (Scenario.stabilization_time scenario) workload_end
-    +. (50.0 *. delta)
+    S.settle config
+      ~stabilization:(Scenario.stabilization_time scenario)
+      ~workload_end
+    +. S.slack ~delta
   in
-  let faulty = input.Input.steps <> [] in
   let cov = ref Coverage.empty in
   (try
-     let failures = Scenario.compile ~procs scenario in
-     let metrics = Gcs_stdx.Metrics.create () in
-     let handlers = Skeen.handlers config in
-     let handlers =
-       match mutant with
-       | Some m -> m.Skeen_mutant.instrument config handlers
-       | None -> handlers
-     in
-     let snaps = ref [] in
-     let observe _me pre post =
-       cov := skeen_transition_features pre post !cov;
-       (* Quiescent point: a delivery crossing a count bucket — the
-          pending set just drained past a threshold. *)
-       if
-         Coverage.bucket (Skeen.node_delivered pre)
-         <> Coverage.bucket (Skeen.node_delivered post)
-       then snaps := Skeen.snapshot_node post :: !snaps
-     in
-     let trace, final_nodes, events_processed =
+     let backend =
        match backend with
-       | None ->
-           let result =
-             Engine.run ~metrics ~observe
-               { (Engine.default_config ~delta) with Engine.fifo = true }
-               ~procs ~handlers ~init:Skeen.initial ~inputs:workload ~failures
-               ~until
-               ~prng:(Gcs_stdx.Prng.create input.Input.seed)
-           in
-           ( result.Engine.trace,
-             result.Engine.final_states,
-             result.Engine.events_processed )
-       | Some (module B : Gcs_transport.Iface.BACKEND) ->
-           let result =
-             B.run ?stop ~metrics ~observe Skeen.packet_codec ~procs ~handlers
-               ~init:Skeen.initial ~inputs:workload ~failures ~until
-               ~seed:input.Input.seed
-           in
-           ( result.Gcs_transport.Iface.trace,
-             result.Gcs_transport.Iface.final_states,
-             result.Gcs_transport.Iface.events_processed )
+       | Some b -> b
+       | None -> Gcs_sim.Backend.of_config (S.engine ~delta)
      in
-     let bcasts =
-       List.length
-         (List.filter
-            (fun (_, a) -> match a with To_action.Bcast _ -> true | _ -> false)
-            (Timed.actions trace))
+     let result, trace, bcasts, deliveries =
+       instrumented (module S) ?mutant ?stop ~cov ~backend config ~workload
+         ~failures:(Scenario.compile ~procs scenario)
+         ~until ~seed:input.Input.seed
      in
-     let deliveries =
-       List.length
-         (List.filter
-            (fun (_, a) -> match a with To_action.Brcv _ -> true | _ -> false)
-            (Timed.actions trace))
+     let verdict =
+       Option.map
+         (fun (check, detail) -> { check; detail })
+         (S.verdict config
+            ~faulty:(input.Input.steps <> [])
+            ~until ~workload result.Gcs_transport.Iface.trace
+            result.Gcs_transport.Iface.final_states)
      in
-     cov := skeen_counter_features metrics ~bcasts ~deliveries !cov;
-     let final_snaps =
-       List.map
-         (fun (_, node) -> Skeen.snapshot_node node)
-         (Proc.Map.bindings final_nodes)
-     in
-     cov :=
-       Coverage.union !cov
-         (Coverage.fuzzy_features ~tag:"sk" (final_snaps @ !snaps));
      ( {
          coverage = !cov;
-         verdict = skeen_verdict config ~workload ~faulty trace final_nodes;
+         verdict;
          bcasts;
          deliveries;
-         events_processed;
+         events_processed = result.Gcs_transport.Iface.events_processed;
        },
        trace )
    with e ->
-     ( {
-         coverage = !cov;
-         verdict = Some { check = "crash"; detail = Printexc.to_string e };
-         bcasts = 0;
-         deliveries = 0;
-         events_processed = 0;
-       },
-       [] ))
+     (* Any escape from the backend or a checker is a finding in its own
+        right; converting it keeps domain-pool batches alive and lets the
+        shrinker minimize crashing schedules like any other failure. *)
+     crashed !cov e)
   [@gcs.lint.allow "P2"]
 
-let execute_skeen ?mutant ?backend ?delta ?dests ~config input =
-  fst (execute_skeen_full ?mutant ?backend ?delta ?dests ~config input)
+let execute_full ?service ?mutant ?backend ?stop ?dests ~config input =
+  let (module S : Service.S) = subject ?service ?mutant () in
+  match mutant with
+  | Some (Service.Tagged (s, m)) ->
+      run s (Some m) ?backend ?stop ?dests ~config input
+  | None -> run (module S) None ?backend ?stop ?dests ~config input
 
-let replay_skeen ?mutant ?backend ?delta ?dests ~config input =
-  let obs, trace =
-    execute_skeen_full ?mutant ?backend ?delta ?dests ~config input
-  in
+let execute ?service ?mutant ?backend ?dests ~config input =
+  fst (execute_full ?service ?mutant ?backend ?dests ~config input)
+
+let replay ?service ?mutant ?backend ~config input =
+  let obs, trace = execute_full ?service ?mutant ?backend ~config input in
   (trace, obs.verdict)
 
-let skeen_oracle ?mutant ?backend ?delta ?dests ~config ~check input =
-  match
-    (execute_skeen ?mutant ?backend ?delta ?dests ~config input).verdict
-  with
+let oracle ?service ?mutant ?backend ~config ~check input =
+  match (execute ?service ?mutant ?backend ~config input).verdict with
   | Some f when String.equal f.check check -> Some f
   | Some _ | None -> None

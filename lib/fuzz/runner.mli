@@ -1,24 +1,22 @@
-open Gcs_impl
+(** Execute one fuzz input against a total-order service and judge it.
 
-(** Execute one fuzz input and judge it.
+    One execution = compile the input's stabilized scenario, lift its
+    workload into the service's inputs, run the service (on the
+    simulator with the input's seed unless a backend is given), collect
+    abstract-state coverage through the service's hooks
+    ({!Gcs_conformance.Service.S}), and apply the service's oracle
+    chain — for VStoTO: TO and VS trace conformance, the Theorem 7.2
+    delivery bound (fuzz scenarios are always stabilized) and the
+    node-local VStoTO invariants; for Skeen: the multi-group order
+    oracle and the node invariants on every run, completeness on
+    fault-free inputs only.
 
-    One execution = compile the input's stabilized scenario, run the TO
-    service in the simulator with the input's seed and workload, collect
-    abstract-state coverage through the engine's [observe] hook, and
-    check every oracle the repository has:
-
-    - the client trace against TO-machine;
-    - the VS-layer trace against VS-machine;
-    - the Theorem 7.2 delivery bound (applicable because fuzz scenarios
-      are always stabilized);
-    - node-local VStoTO state invariants on every final state
-      (counter ordering, duplicate-free order, reported-prefix content).
-
-    The observation is a pure function of (config, mutant, input), so
-    executions fan out over a domain pool without coordination. A raised
-    exception is itself a verdict ([check = "crash"]), never an escape —
-    the fuzzer treats crashes as findings, and a crashing input must not
-    abort the batch that contains it. *)
+    The observation is a pure function of (service, mutant, config,
+    input), so executions fan out over a domain pool without
+    coordination. A raised exception is itself a verdict
+    ([check = "crash"]), never an escape — the fuzzer treats crashes as
+    findings, and a crashing input must not abort the batch that
+    contains it. *)
 
 type failure = { check : string; detail : string }
 
@@ -30,66 +28,44 @@ type observation = {
   events_processed : int;
 }
 
-val vstoto_invariants :
-  Gcs_core.Vstoto.state Gcs_automata.Invariant.t list
-(** The node-local state invariants (counter ordering, duplicate-free
-    order, reported-prefix content), exported so the cross-transport
-    conformance suite applies the exact oracle set the fuzzer uses. *)
-
-val node_invariant_failure :
-  To_service.node Gcs_core.Proc.Map.t -> failure option
-(** First {!vstoto_invariants} violation over a fleet's final states. *)
-
-val execute :
-  ?mutant:Mutant.t ->
-  ?backend:Gcs_transport.Iface.backend ->
-  config:To_service.config ->
-  Input.t ->
-  observation
-(** [backend] runs the input on a pluggable transport instead of the
-    simulator (times become wall-clock seconds; coverage over [engine.*]
-    counters degenerates to zero buckets, which only matters to the
-    coverage-guided loop — the verdict oracles apply unchanged). *)
-
 val execute_full :
-  ?mutant:Mutant.t ->
+  ?service:Gcs_conformance.Service.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
   ?backend:Gcs_transport.Iface.backend ->
-  config:To_service.config ->
+  ?stop:(now:float -> outputs:int -> bool) ->
+  ?dests:Gcs_core.Proc.t list ->
+  config:Gcs_impl.To_service.config ->
   Input.t ->
   observation * Gcs_core.Value.t Gcs_core.To_action.t Gcs_core.Timed.t
-(** {!execute} returning the client trace too — the differential mode
-    extracts per-node delivered orders from it. *)
+(** Execute and return the client trace too (the differential mode
+    extracts per-node delivered orders from it).
 
-(** {2 Coverage building blocks}
+    [service] defaults to the mutant's service, else VStoTO; a mutant of
+    another service raises [Invalid_argument] before anything runs.
+    [config] carries the shared parameters: the service derives its own
+    configuration from it ({!Gcs_conformance.Service.S.configure}) and
+    the simulator runs at its δ. [backend] runs the input on a pluggable
+    transport instead (times become wall-clock seconds; coverage over
+    [engine.*] counters degenerates to zero buckets, which only matters
+    to the coverage-guided loop — the verdict oracles apply unchanged);
+    [stop] is forwarded to it. [dests] addresses every submission to
+    those processors ([[]]: the whole group; the cross-protocol pairs'
+    hook, see {!Gcs_conformance.Service.S.lift}). *)
 
-    Exported for the differential mode, whose reference executions run
-    with custom horizons and stop conditions but must produce the same
-    deterministic coverage as {!execute}. *)
-
-val transition_features :
-  To_service.config ->
-  Gcs_core.Proc.t ->
-  To_service.node ->
-  To_service.node ->
-  Coverage.t ->
-  Coverage.t
-(** Status-pair / primary-switch / view-edge features of one handler
-    application. *)
-
-val counter_features :
-  Gcs_stdx.Metrics.t -> bcasts:int -> deliveries:int -> Coverage.t ->
-  Coverage.t
-(** Bucketed run-level counter features. *)
-
-val snapshot_vstoto : To_service.node -> string
-(** Deterministic node-state serialization (status, view, counters, the
-    delivered order, queue depths) — input to
-    {!Coverage.fuzzy_features}. *)
+val execute :
+  ?service:Gcs_conformance.Service.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
+  ?backend:Gcs_transport.Iface.backend ->
+  ?dests:Gcs_core.Proc.t list ->
+  config:Gcs_impl.To_service.config ->
+  Input.t ->
+  observation
 
 val replay :
-  ?mutant:Mutant.t ->
+  ?service:Gcs_conformance.Service.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
   ?backend:Gcs_transport.Iface.backend ->
-  config:To_service.config ->
+  config:Gcs_impl.To_service.config ->
   Input.t ->
   Gcs_core.Value.t Gcs_core.To_action.t Gcs_core.Timed.t * failure option
 (** One execution returning the client trace alongside the verdict — used
@@ -97,9 +73,10 @@ val replay :
     {!Gcs_core.Trace_io} artifact (empty on a crashing input). *)
 
 val oracle :
-  ?mutant:Mutant.t ->
+  ?service:Gcs_conformance.Service.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
   ?backend:Gcs_transport.Iface.backend ->
-  config:To_service.config ->
+  config:Gcs_impl.To_service.config ->
   check:string ->
   Input.t ->
   failure option
@@ -107,66 +84,39 @@ val oracle :
     the {e same} check as the failure being minimized (so a reduction
     cannot drift to a different bug). *)
 
-(** {2 The Skeen service}
+val subject :
+  ?service:Gcs_conformance.Service.t ->
+  ?mutant:Gcs_conformance.Service.tagged ->
+  unit ->
+  Gcs_conformance.Service.t
+(** The service an execution drives: [service], else the mutant's, else
+    VStoTO. Raises [Invalid_argument] when [mutant] belongs to another
+    service than [service]. *)
 
-    The same fuzz inputs driven through the Skeen backend
-    ({!Gcs_skeen.Skeen}) instead of the VStoTO stack. Destination
-    subsets are derived from a deterministic hash of (origin, value) —
-    see {!skeen_dests} — so an input replays to the identical
-    multi-group workload everywhere. The oracle chain is Skeen's own:
-    the multi-group order oracle and the node invariants on every run,
-    completeness on fault-free inputs only (no retransmission), and
-    crash-as-verdict. *)
+(** {2 Coverage}
 
-val skeen_dests :
-  procs:Gcs_core.Proc.t list -> Gcs_core.Proc.t -> Gcs_core.Value.t ->
-  Gcs_core.Proc.t list
-(** The derived destination subset (empty = full group after
-    normalization). *)
+    Exported for the differential mode, whose reference executions run
+    with custom horizons and stop conditions but must produce the same
+    deterministic coverage as {!execute}. *)
 
-val execute_skeen :
-  ?mutant:Skeen_mutant.t ->
-  ?backend:Gcs_transport.Iface.backend ->
-  ?delta:float ->
-  ?dests:[ `Hashed | `Full ] ->
-  config:Gcs_skeen.Skeen.config ->
-  Input.t ->
-  observation
-(** [delta] (default 1.0) sets the simulated link bound; the simulator
-    runs with FIFO links (Skeen's per-origin FIFO rests on them).
-    [dests] (default [`Hashed]) is the dest-subset replay hook:
-    [`Full] addresses every message to the whole group, which the
-    cross-protocol differential pairs require (VStoTO and the sequencer
-    cannot express subsets). *)
-
-val execute_skeen_full :
-  ?mutant:Skeen_mutant.t ->
-  ?backend:Gcs_transport.Iface.backend ->
+val instrumented :
+  ('c, 'n, 'i, 'p, 'o) Gcs_conformance.Service.s ->
+  ?mutant:('c, 'n, 'i, 'p, 'o) Gcs_conformance.Service.mutant ->
   ?stop:(now:float -> outputs:int -> bool) ->
-  ?delta:float ->
-  ?dests:[ `Hashed | `Full ] ->
-  config:Gcs_skeen.Skeen.config ->
-  Input.t ->
-  observation * Gcs_core.Value.t Gcs_core.To_action.t Gcs_core.Timed.t
-(** [stop] is forwarded to a pluggable backend (early exit once the
-    expected outputs landed — the wall-clock horizon is only the failure
-    fallback); the simulator path ignores it, virtual time being free. *)
-
-val replay_skeen :
-  ?mutant:Skeen_mutant.t ->
-  ?backend:Gcs_transport.Iface.backend ->
-  ?delta:float ->
-  ?dests:[ `Hashed | `Full ] ->
-  config:Gcs_skeen.Skeen.config ->
-  Input.t ->
-  Gcs_core.Value.t Gcs_core.To_action.t Gcs_core.Timed.t * failure option
-
-val skeen_oracle :
-  ?mutant:Skeen_mutant.t ->
-  ?backend:Gcs_transport.Iface.backend ->
-  ?delta:float ->
-  ?dests:[ `Hashed | `Full ] ->
-  config:Gcs_skeen.Skeen.config ->
-  check:string ->
-  Input.t ->
-  failure option
+  ?snapshot_point:('n -> 'n -> bool) ->
+  cov:Coverage.t ref ->
+  backend:Gcs_transport.Iface.backend ->
+  'c ->
+  workload:(float * Gcs_core.Proc.t * 'i) list ->
+  failures:(float * Gcs_core.Fstatus.event) list ->
+  until:float ->
+  seed:int ->
+  ('n, 'o) Gcs_transport.Iface.result
+  * Gcs_core.Value.t Gcs_core.To_action.t Gcs_core.Timed.t
+  * int
+  * int
+(** One run accumulating the service's coverage into [cov]: transition
+    features, fuzzy-hashed snapshots at [snapshot_point] (default the
+    service's own) and of the final states, and the bucketed counters.
+    Returns the result, its client trace, and the bcast and delivery
+    counts. *)

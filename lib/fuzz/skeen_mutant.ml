@@ -2,66 +2,22 @@ open Gcs_core
 open Gcs_skeen
 open Gcs_sim
 
-type handlers =
-  (Skeen.node, Skeen.input, Skeen.packet, Value.t To_action.t)
-  Engine.handlers
+type t =
+  ( Skeen.config,
+    Skeen.node,
+    Skeen.input,
+    Skeen.packet,
+    Value.t To_action.t )
+  Gcs_conformance.Service.mutant
 
-type t = {
-  name : string;
-  doc : string;
-  expected_checks : string list;
-  instrument : Skeen.config -> handlers -> handlers;
-}
-
-(* Rewrite every effect batch through [f me post_state effects]. *)
-let rewrite f (h : handlers) : handlers =
-  {
-    Engine.on_start =
-      (fun me st ->
-        let st', es = h.Engine.on_start me st in
-        (st', f me st' es));
-    on_input =
-      (fun me ~now v st ->
-        let st', es = h.Engine.on_input me ~now v st in
-        (st', f me st' es));
-    on_packet =
-      (fun me ~now ~src p st ->
-        let st', es = h.Engine.on_packet me ~now ~src p st in
-        (st', f me st' es));
-    on_timer =
-      (fun me ~now ~id st ->
-        let st', es = h.Engine.on_timer me ~now ~id st in
-        (st', f me st' es));
-  }
-
-(* Fire-once latch in the closure, fresh per [instrument] call, so
-   instrumented runs fanned out on a domain pool stay independent. *)
-let once f h =
-  let fired = ref false in
-  rewrite
-    (fun me st es ->
-      if !fired then es
-      else
-        match f me st es with
-        | Some es' ->
-            fired := true;
-            es'
-        | None -> es)
-    h
-
-let split_at p es =
-  let rec go before = function
-    | [] -> None
-    | e :: rest when p e -> Some (List.rev before, e, rest)
-    | e :: rest -> go (e :: before) rest
-  in
-  go [] es
+let once = Gcs_conformance.Service.once
+let split_at = Gcs_conformance.Service.split_at
 
 let is_commit = function
   | Engine.Send { packet = Skeen.Commit _; _ } -> true
   | _ -> false
 
-let commit_skew =
+let commit_skew : t =
   {
     name = "skeen-commit-skew";
     doc =
@@ -98,7 +54,7 @@ let commit_skew =
           h);
   }
 
-let drop_proposal =
+let drop_proposal : t =
   {
     name = "skeen-drop-proposal";
     doc =
@@ -127,7 +83,7 @@ let is_brcv = function
   | Engine.Output (To_action.Brcv _) -> true
   | _ -> false
 
-let dup_deliver =
+let dup_deliver : t =
   {
     name = "skeen-dup-deliver";
     doc = "a delivery is handed to the client twice";
@@ -145,5 +101,3 @@ let dup_deliver =
   }
 
 let all = [ commit_skew; drop_proposal; dup_deliver ]
-let find name = List.find_opt (fun m -> String.equal m.name name) all
-let names = List.map (fun m -> m.name) all

@@ -1,38 +1,20 @@
 open Gcs_core
 open Gcs_skeen
 
-(** Planted bugs for the Skeen backend, validating that the fuzzer's
-    Skeen oracle set ({!Runner.execute_skeen}) can catch real protocol
+(** Planted bugs for the Skeen backend, validating that Skeen's oracle
+    chain ({!Gcs_conformance.Oracle.skeen}) can catch real protocol
     defects: a skewed final timestamp at one destination (order
     disagreement), a lost timestamp proposal (wedged destinations, caught
     by fault-free completeness), and a duplicated client delivery. Same
     contract as {!Mutant}: each rewrite fires once per run behind a
-    state-dependent trigger, with the latch allocated per [instrument]
-    call so pooled runs stay independent. *)
+    state-dependent trigger. *)
 
-type handlers =
-  (Skeen.node, Skeen.input, Skeen.packet, Value.t To_action.t)
-  Gcs_sim.Engine.handlers
-
-type t = {
-  name : string;
-  doc : string;  (** the emulated defect, one line *)
-  expected_checks : string list;
-      (** oracles that may flag it, e.g. [["skeen-group-order"]] *)
-  instrument : Skeen.config -> handlers -> handlers;
-}
-
-val rewrite :
-  (Proc.t ->
-   Skeen.node ->
-   (Skeen.packet, Value.t To_action.t) Gcs_sim.Engine.effect list ->
-   (Skeen.packet, Value.t To_action.t) Gcs_sim.Engine.effect list) ->
-  handlers ->
-  handlers
-(** Route every handler's effect batch through [f me post_state effects]
-    — the building block for mutants with richer per-node state than the
-    fire-once latch (e.g. {!Diff_mutant}'s delivery-delay rewrite). *)
+type t =
+  ( Skeen.config,
+    Skeen.node,
+    Skeen.input,
+    Skeen.packet,
+    Value.t To_action.t )
+  Gcs_conformance.Service.mutant
 
 val all : t list
-val find : string -> t option
-val names : string list

@@ -328,31 +328,6 @@ let record_to_metrics metrics trace =
 let client_trace_of trace =
   Timed.map (function Client a -> Some a | Vs_layer _ -> None) trace
 
-let run ?metrics ?engine config ~workload ~failures ~until ~seed =
-  let metrics =
-    match metrics with Some m -> m | None -> Gcs_stdx.Metrics.create ()
-  in
-  let engine_config =
-    match engine with
-    | Some c -> c
-    | None -> Gcs_sim.Engine.default_config ~delta:config.vs.Vs_node.delta
-  in
-  let result =
-    Engine.run ~metrics engine_config ~procs:config.vs.Vs_node.procs
-      ~handlers:(handlers ~metrics config) ~init:(initial config)
-      ~inputs:workload ~failures ~until
-      ~prng:(Gcs_stdx.Prng.create seed)
-  in
-  record_to_metrics metrics (client_trace_of result.Engine.trace);
-  {
-    trace = result.Engine.trace;
-    final_nodes = result.Engine.final_states;
-    packets_sent = result.Engine.packets_sent;
-    packets_dropped = result.Engine.packets_dropped;
-    events_processed = result.Engine.events_processed;
-    metrics;
-  }
-
 let run_on ?metrics ?observe ?stop ~backend config ~workload ~failures ~until
     ~seed =
   let metrics =
@@ -374,6 +349,14 @@ let run_on ?metrics ?observe ?stop ~backend config ~workload ~failures ~until
     events_processed = result.Gcs_transport.Iface.events_processed;
     metrics;
   }
+
+let sim ?engine config =
+  Gcs_sim.Backend.of_config
+    (Option.value engine
+       ~default:(Engine.default_config ~delta:config.vs.Vs_node.delta))
+
+let run ?metrics ?engine config =
+  run_on ?metrics ~backend:(sim ?engine config) config
 
 let client_trace r = client_trace_of r.trace
 

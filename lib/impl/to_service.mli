@@ -95,6 +95,11 @@ type run = {
           [to.bcast_brcv_latency] *)
 }
 
+val sim :
+  ?engine:Gcs_sim.Engine.config -> config -> Gcs_transport.Iface.backend
+(** The simulator backend; [engine] defaults to
+    {!Gcs_sim.Engine.default_config} at the configuration's δ. *)
+
 val run :
   ?metrics:Gcs_stdx.Metrics.t ->
   ?engine:Gcs_sim.Engine.config ->
@@ -104,6 +109,7 @@ val run :
   until:float ->
   seed:int ->
   run
+(** {!run_on} on {!sim}. *)
 
 val run_on :
   ?metrics:Gcs_stdx.Metrics.t ->
@@ -119,8 +125,7 @@ val run_on :
 (** The same service on a pluggable transport: the handlers are built
     once and handed to [backend] with the {!Wire.msg_packet_codec} — the
     bus actually serializes every packet through it; the simulator
-    ignores it. [run] is [run_on] with a simulator backend, kept separate
-    only because it predates the seam and accepts a raw engine config. *)
+    ignores it. *)
 
 val client_trace : run -> Value.t To_action.t Timed.t
 (** The TO-level timed trace (with failure events), for TO-property. *)

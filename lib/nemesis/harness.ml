@@ -74,13 +74,12 @@ let run ?metrics ?engine ?backend ?stop ?workload ~config ?until ~seed scenario
     | None -> default_workload ~procs ()
   in
   let failures = Scenario.compile ~procs scenario in
+  let backend =
+    match backend with Some b -> b | None -> To_service.sim ?engine config
+  in
   let run =
-    match backend with
-    | Some backend ->
-        To_service.run_on ~metrics ?stop ~backend config ~workload ~failures
-          ~until ~seed
-    | None ->
-        To_service.run ~metrics ?engine config ~workload ~failures ~until ~seed
+    To_service.run_on ~metrics ?stop ~backend config ~workload ~failures
+      ~until ~seed
   in
   record_phase_metrics metrics
     ~stabilization:(Scenario.stabilization_time scenario)

@@ -39,6 +39,10 @@ val bounds : To_service.config -> float * float
 (** [(b', d')] for the Theorem 7.1 shape: TO stabilizes within
     [b' = impl_b + impl_d] and delivers within [d' = impl_d + 4δ]. *)
 
+val horizon_slack : float
+(** Slack past the theoretical horizon [l + b' + d'] (60), room for
+    workload submitted shortly before stabilization to drain. *)
+
 val default_until : config:To_service.config -> Scenario.t -> float
 (** Stabilization time plus [b' + d'] plus slack — the shortest horizon
     at which the delivery-bound check is not vacuous. *)

@@ -310,25 +310,6 @@ type run = {
   events_processed : int;
 }
 
-let run ?engine ?(fifo = true) ~delta config ~workload ~failures ~until ~seed =
-  let engine_config =
-    match engine with
-    | Some c -> c
-    | None -> { (Engine.default_config ~delta) with Engine.fifo }
-  in
-  let result =
-    Engine.run engine_config ~procs:config.procs ~handlers:(handlers config)
-      ~init:initial ~inputs:workload ~failures ~until
-      ~prng:(Gcs_stdx.Prng.create seed)
-  in
-  {
-    trace = result.Engine.trace;
-    final_nodes = result.Engine.final_states;
-    packets_sent = result.Engine.packets_sent;
-    packets_dropped = result.Engine.packets_dropped;
-    events_processed = result.Engine.events_processed;
-  }
-
 let run_on ?metrics ?observe ?stop ~backend config ~workload ~failures ~until
     ~seed =
   let (module B : Gcs_transport.Iface.BACKEND) = backend in

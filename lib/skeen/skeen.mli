@@ -101,20 +101,6 @@ type run = {
   events_processed : int;
 }
 
-val run :
-  ?engine:Engine.config ->
-  ?fifo:bool ->
-  delta:float ->
-  config ->
-  workload:(float * Proc.t * input) list ->
-  failures:(float * Fstatus.event) list ->
-  until:float ->
-  seed:int ->
-  run
-(** Simulator run. [fifo] defaults to [true]: the per-origin FIFO
-    guarantee (and the anchored differential workloads) need FIFO links,
-    which the bus provides by construction. *)
-
 val run_on :
   ?metrics:Gcs_stdx.Metrics.t ->
   ?observe:(Proc.t -> node -> node -> unit) ->
@@ -126,7 +112,10 @@ val run_on :
   until:float ->
   seed:int ->
   run
-(** The same handlers on a pluggable transport via {!packet_codec}. *)
+(** The handlers on a pluggable transport via {!packet_codec}: the
+    simulator through {!Gcs_sim.Backend.of_config} (per-origin FIFO and
+    the anchored differential workloads need FIFO links there), or the
+    bus, FIFO by construction. *)
 
 val deliveries : run -> int
 

@@ -8,6 +8,7 @@ open Gcs_baseline
 let procs = Proc.all ~n:4
 let delta = 1.0
 let config = Sequencer.make_config ~procs
+let sim = Gcs_sim.Backend.of_config (Gcs_sim.Engine.default_config ~delta)
 
 let workload ~senders ~from_time ~spacing ~count =
   List.concat_map
@@ -22,7 +23,7 @@ let test_steady_state () =
   List.iter
     (fun seed ->
       let run =
-        Sequencer.run ~delta config
+        Sequencer.run_on ~backend:sim config
           ~workload:(workload ~senders:procs ~from_time:5.0 ~spacing:5.0 ~count:10)
           ~failures:[] ~until:200.0 ~seed
       in
@@ -45,7 +46,7 @@ let test_partition_stalls_cut_side () =
       (Fstatus.partition_events ~parts:[ [ 0; 1 ]; [ 2; 3 ] ])
   in
   let run =
-    Sequencer.run ~delta config
+    Sequencer.run_on ~backend:sim config
       ~workload:(workload ~senders:[ 0; 1 ] ~from_time:50.0 ~spacing:5.0 ~count:6)
       ~failures ~until:300.0 ~seed:7
   in
@@ -66,7 +67,7 @@ let test_latency_comparison_with_vstoto () =
      protocol (the price VStoTO pays for partition tolerance). *)
   let wl = workload ~senders:procs ~from_time:5.0 ~spacing:12.0 ~count:6 in
   let seq_run =
-    Sequencer.run ~delta config ~workload:wl ~failures:[] ~until:400.0 ~seed:3
+    Sequencer.run_on ~backend:sim config ~workload:wl ~failures:[] ~until:400.0 ~seed:3
   in
   let vs_config = { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta } in
   let to_config = To_service.make_config vs_config in
@@ -111,7 +112,7 @@ let test_vstoto_survives_where_sequencer_stalls () =
   in
   let wl = workload ~senders:majority ~from_time:60.0 ~spacing:9.0 ~count:5 in
   let seq_run =
-    Sequencer.run ~delta config ~workload:wl ~failures ~until:500.0 ~seed:5
+    Sequencer.run_on ~backend:sim config ~workload:wl ~failures ~until:500.0 ~seed:5
   in
   let vs_config = { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta } in
   let to_config = To_service.make_config vs_config in

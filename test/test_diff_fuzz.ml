@@ -2,12 +2,13 @@
    find nothing (zero false positives), every planted divergence-only
    mutant is found and shrunk within CI budgets, and the fuzzy-hashed
    state-snapshot coverage is byte-deterministic — across job counts and
-   across same-seed repeats, for both services and for the differential
+   across same-seed repeats, for every service and for the differential
    mode (a qcheck property over random master seeds). *)
 
 open Gcs_core
 open Gcs_impl
 open Gcs_fuzz
+module Services = Gcs_conformance.Services
 
 let n = 4
 let procs = Proc.all ~n
@@ -38,8 +39,7 @@ let test_clean_pair pair () =
 
 let test_diff_mutant (m : Diff_mutant.t) () =
   let outcome =
-    Fuzz.run ?mutant:m.Diff_mutant.vs ?skeen_mutant:m.Diff_mutant.skeen
-      ?tamper:m.Diff_mutant.tamper ~pair:m.Diff_mutant.pair ~jobs:2 ~config
+    Fuzz.run ?mutant:m.Diff_mutant.mutant ?tamper:m.Diff_mutant.tamper ~pair:m.Diff_mutant.pair ~jobs:2 ~config
       ~seed:7 ~execs:200 ~shrink_budget:300 ()
   in
   match (outcome.Fuzz.failure, outcome.Fuzz.shrunk) with
@@ -79,14 +79,12 @@ let snapshot_hashes outcome =
 
 let run_mode mode ~jobs ~seed =
   match mode with
-  | `Vstoto -> Fuzz.run ~service:Fuzz.Vstoto_stack ~jobs ~config ~seed ~execs:40 ()
-  | `Skeen -> Fuzz.run ~service:Fuzz.Skeen_backend ~jobs ~config ~seed ~execs:40 ()
+  | `Service s -> Fuzz.run ~service:s ~jobs ~config ~seed ~execs:40 ()
   | `Diff ->
       Fuzz.run ~pair:Differential.Vstoto_skeen ~jobs ~config ~seed ~execs:40 ()
 
 let mode_name = function
-  | `Vstoto -> "vstoto"
-  | `Skeen -> "skeen"
+  | `Service s -> Gcs_conformance.Service.name s
   | `Diff -> "diff:vstoto-skeen"
 
 let prop_snapshot_hash_determinism mode =
@@ -138,9 +136,11 @@ let () =
       ("clean", clean_cases);
       ("planted", mutant_cases);
       ( "state-hash determinism",
-        [
-          QCheck_alcotest.to_alcotest (prop_snapshot_hash_determinism `Vstoto);
-          QCheck_alcotest.to_alcotest (prop_snapshot_hash_determinism `Skeen);
-          QCheck_alcotest.to_alcotest (prop_snapshot_hash_determinism `Diff);
-        ] );
+        List.map
+            (fun s ->
+              QCheck_alcotest.to_alcotest
+                (prop_snapshot_hash_determinism (`Service s)))
+            Services.all
+        @ [ QCheck_alcotest.to_alcotest (prop_snapshot_hash_determinism `Diff) ]
+      );
     ]

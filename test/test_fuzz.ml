@@ -1,12 +1,15 @@
 (* The fuzzer's own regression suite: input round-trips, determinism
    across job counts, shrinker soundness, and the planted-bug gauntlet
-   (every mutant in [Mutant.all] must be found within a bounded budget
-   and shrunk to a small reproducer blaming an expected check). *)
+   (every service's mutant in [Mutant.all] must be found within a
+   bounded budget and shrunk to a small reproducer blaming an expected
+   check). *)
 
 open Gcs_core
 open Gcs_impl
 open Gcs_nemesis
 open Gcs_fuzz
+module Service = Gcs_conformance.Service
+module Services = Gcs_conformance.Services
 
 let n = 4
 let procs = Proc.all ~n
@@ -126,7 +129,7 @@ let test_no_false_positives_batched () =
    across a modest fuzz budget. *)
 let test_no_false_positives_skeen () =
   let outcome =
-    Fuzz.run ~service:Fuzz.Skeen_backend ~jobs:2 ~config ~seed:5 ~execs:150 ()
+    Fuzz.run ~service:Services.skeen ~jobs:2 ~config ~seed:5 ~execs:150 ()
   in
   match outcome.Fuzz.failure with
   | None -> ()
@@ -134,63 +137,71 @@ let test_no_false_positives_skeen () =
       Alcotest.failf "clean skeen run failed %s on:\n%s" f.Runner.check
         (Input.to_string input)
 
+(* The fixed sequencer's chain (TO conformance, fault-free completeness)
+   under the same budget. *)
+let test_no_false_positives_sequencer () =
+  let outcome =
+    Fuzz.run ~service:Services.sequencer ~jobs:2 ~config ~seed:5 ~execs:150 ()
+  in
+  match outcome.Fuzz.failure with
+  | None -> ()
+  | Some (input, f) ->
+      Alcotest.failf "clean sequencer run failed %s on:\n%s" f.Runner.check
+        (Input.to_string input)
+
 (* ------------------------- planted bugs ----------------------------- *)
 
 let find_and_shrink mutant =
   Fuzz.run ~mutant ~jobs:2 ~config ~seed:7 ~execs:800 ~shrink_budget:400 ()
 
-let find_and_shrink_skeen skeen_mutant =
-  Fuzz.run ~skeen_mutant ~jobs:2 ~config ~seed:7 ~execs:800 ~shrink_budget:400
-    ()
-
-let test_skeen_mutant m () =
-  let outcome = find_and_shrink_skeen m in
-  match (outcome.Fuzz.failure, outcome.Fuzz.shrunk) with
-  | None, _ ->
-      Alcotest.failf "skeen mutant %s not found within budget"
-        m.Skeen_mutant.name
-  | Some _, None ->
-      Alcotest.failf "skeen mutant %s found but not shrunk" m.Skeen_mutant.name
-  | Some (original, f), Some s ->
-      if not (List.mem f.Runner.check m.Skeen_mutant.expected_checks) then
-        Alcotest.failf "skeen mutant %s blamed %s (expected one of: %s)"
-          m.Skeen_mutant.name f.Runner.check
-          (String.concat ", " m.Skeen_mutant.expected_checks);
-      let before = Input.events original
-      and after = Input.events s.Shrink.input in
-      if after > before then
-        Alcotest.failf "skeen mutant %s: shrink grew %d -> %d events"
-          m.Skeen_mutant.name before after;
-      if after > 25 then
-        Alcotest.failf "skeen mutant %s: shrunk repro still has %d events"
-          m.Skeen_mutant.name after;
-      Alcotest.(check string)
-        "shrunk failure check" f.Runner.check s.Shrink.failure.Runner.check
-
 let test_mutant m () =
+  let name = Service.mutant_name m and expected = Service.mutant_checks m in
   let outcome = find_and_shrink m in
   match (outcome.Fuzz.failure, outcome.Fuzz.shrunk) with
-  | None, _ ->
-      Alcotest.failf "mutant %s not found within budget" m.Mutant.name
-  | Some _, None -> Alcotest.failf "mutant %s found but not shrunk" m.Mutant.name
+  | None, _ -> Alcotest.failf "mutant %s not found within budget" name
+  | Some _, None -> Alcotest.failf "mutant %s found but not shrunk" name
   | Some (original, f), Some s ->
-      if not (List.mem f.Runner.check m.Mutant.expected_checks) then
-        Alcotest.failf "mutant %s blamed %s (expected one of: %s)"
-          m.Mutant.name f.Runner.check
-          (String.concat ", " m.Mutant.expected_checks);
+      if not (List.mem f.Runner.check expected) then
+        Alcotest.failf "mutant %s blamed %s (expected one of: %s)" name
+          f.Runner.check
+          (String.concat ", " expected);
       (* The shrinker must not grow the input, must stay under the
-         ISSUE's 25-event reproducer bound, and must preserve the check
-         being blamed. *)
+         25-event reproducer bound, and must preserve the check being
+         blamed. *)
       let before = Input.events original
       and after = Input.events s.Shrink.input in
       if after > before then
-        Alcotest.failf "mutant %s: shrink grew %d -> %d events" m.Mutant.name
-          before after;
+        Alcotest.failf "mutant %s: shrink grew %d -> %d events" name before
+          after;
       if after > 25 then
-        Alcotest.failf "mutant %s: shrunk repro still has %d events"
-          m.Mutant.name after;
+        Alcotest.failf "mutant %s: shrunk repro still has %d events" name after;
       Alcotest.(check string)
         "shrunk failure check" f.Runner.check s.Shrink.failure.Runner.check
+
+(* A planted bug instruments one service's handlers. Pairing it with
+   another service must be refused up front: running the named service
+   clean would report "no failures found" for a mutant never planted. *)
+let test_wrong_service_refused () =
+  let refused label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a mutant of another service was accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  let dup = Option.get (Mutant.find "dup-delivery") in
+  refused "skeen + dup-delivery" (fun () ->
+      Fuzz.run ~service:Services.skeen ~mutant:dup ~jobs:1 ~config ~seed:7
+        ~execs:20 ());
+  let skew = Option.get (Mutant.find "skeen-commit-skew") in
+  refused "vstoto + skeen-commit-skew" (fun () ->
+      Fuzz.run ~service:Services.vstoto ~mutant:skew ~jobs:1 ~config ~seed:7
+        ~execs:20 ());
+  refused "skeen-bus + dup-delivery" (fun () ->
+      Fuzz.run ~pair:Differential.Skeen_bus ~mutant:dup ~jobs:1 ~config ~seed:7
+        ~execs:20 ());
+  (* The replay path ([gcs fuzz --diff P --replay F]) refuses as soon as
+     the pair is applied. *)
+  refused "skeen-bus replay + dup-delivery" (fun () ->
+      Differential.execute ~mutant:dup ~config Differential.Skeen_bus)
 
 (* ----------------------- shrinker soundness ------------------------- *)
 
@@ -265,14 +276,14 @@ let test_shrunk_repro_stable () =
 let mutant_cases =
   List.map
     (fun m ->
-      Alcotest.test_case (m.Mutant.name ^ " found and shrunk") `Slow
-        (test_mutant m))
+      Alcotest.test_case
+        (Service.mutant_name m ^ " found and shrunk")
+        `Slow (test_mutant m))
     Mutant.all
-  @ List.map
-      (fun m ->
-        Alcotest.test_case (m.Skeen_mutant.name ^ " found and shrunk") `Slow
-          (test_skeen_mutant m))
-      Skeen_mutant.all
+  @ [
+      Alcotest.test_case "wrong-service mutant refused" `Quick
+        test_wrong_service_refused;
+    ]
 
 let () =
   Alcotest.run "fuzz"
@@ -297,6 +308,8 @@ let () =
             test_no_false_positives_batched;
           Alcotest.test_case "no false positives (skeen)" `Quick
             test_no_false_positives_skeen;
+          Alcotest.test_case "no false positives (sequencer)" `Quick
+            test_no_false_positives_sequencer;
         ] );
       ("planted", mutant_cases);
       ( "shrink",

@@ -10,6 +10,10 @@ let procs = Proc.all ~n:4
 let delta = 1.0
 let config = Skeen.make_config ~procs
 
+(* The simulator with Skeen's engine configuration (FIFO links). *)
+let sim ~delta =
+  Gcs_conformance.Service.sim Gcs_conformance.Services.skeen ~delta
+
 let full_workload ~senders ~from_time ~spacing ~count =
   List.concat_map
     (fun (i, p) ->
@@ -44,7 +48,7 @@ let test_steady_state () =
         full_workload ~senders:procs ~from_time:5.0 ~spacing:5.0 ~count:10
       in
       let run =
-        Skeen.run ~delta config ~workload ~failures:[] ~until:300.0 ~seed
+        Skeen.run_on ~backend:(sim ~delta) config ~workload ~failures:[] ~until:300.0 ~seed
       in
       (match Skeen.to_conforms config run with
       | Ok () -> ()
@@ -90,7 +94,7 @@ let test_multi_group () =
               { Skeen.value = Printf.sprintf "m%d.%d" p i; dests = subset i } ))
       in
       let run =
-        Skeen.run ~delta config ~workload ~failures:[] ~until:200.0 ~seed
+        Skeen.run_on ~backend:(sim ~delta) config ~workload ~failures:[] ~until:200.0 ~seed
       in
       check_ok "group order" (Skeen.check_group_order config ~workload run.trace);
       check_ok "complete" (Skeen.check_complete config ~workload run.trace);
@@ -122,7 +126,7 @@ let test_sender_fifo () =
           3,
           { Skeen.value = Printf.sprintf "f%d" k; dests } ))
   in
-  let run = Skeen.run ~delta config ~workload ~failures:[] ~until:100.0 ~seed:5 in
+  let run = Skeen.run_on ~backend:(sim ~delta) config ~workload ~failures:[] ~until:100.0 ~seed:5 in
   check_ok "group order" (Skeen.check_group_order config ~workload run.trace);
   check_ok "complete" (Skeen.check_complete config ~workload run.trace);
   let expected = List.init 12 (fun k -> Printf.sprintf "3:f%d" k) in
@@ -153,7 +157,7 @@ let test_partition_safety () =
         full_workload ~senders:procs ~from_time:5.0 ~spacing:7.0 ~count:6
       in
       let run =
-        Skeen.run ~delta config ~workload ~failures ~until:200.0 ~seed
+        Skeen.run_on ~backend:(sim ~delta) config ~workload ~failures ~until:200.0 ~seed
       in
       check_ok "group order under partition"
         (Skeen.check_group_order config ~workload run.trace);
@@ -165,7 +169,7 @@ let test_delivery_latency () =
      commit. Every delivery lands within 3δ of the submission — the
      structural latency edge over the token ring (d = 2π + nδ). *)
   let workload = [ (10.0, 1, Skeen.full_group "lone") ] in
-  let run = Skeen.run ~delta config ~workload ~failures:[] ~until:50.0 ~seed:3 in
+  let run = Skeen.run_on ~backend:(sim ~delta) config ~workload ~failures:[] ~until:50.0 ~seed:3 in
   check_ok "complete" (Skeen.check_complete config ~workload run.trace);
   List.iter
     (fun (t, a) ->
@@ -184,7 +188,7 @@ let test_sim_vs_bus_anchored () =
         (0.02 *. float_of_int k, 0, Skeen.full_group (Printf.sprintf "a%d" k)))
   in
   let expected_outputs = 8 + Skeen.expected_deliveries config workload in
-  let sim = Skeen.run ~delta:0.1 config ~workload ~failures:[] ~until:60.0 ~seed:9 in
+  let sim = Skeen.run_on ~backend:(sim ~delta:0.1) config ~workload ~failures:[] ~until:60.0 ~seed:9 in
   let bus =
     Skeen.run_on
       ~backend:(Gcs_transport.Bus.backend ())
