@@ -334,11 +334,7 @@ let transition params state action =
   | Sys_action.Vs (Vs_action.Vs_order _) ->
       None
 
-(* The sections of [enabled], in drain priority order. Each is also
-   exposed through [next_enabled], which computes only the first
-   non-empty section — the implementation's drain loop applies one action
-   at a time, and building the (possibly large) batch or summary action
-   for every intermediate state would be quadratic. *)
+(* The sections of [enabled], in drain priority order. *)
 
 let enabled_label params state =
   match (Tape.first state.delay, state.current) with
@@ -417,20 +413,105 @@ let enabled params state =
   @ enabled_confirm params state
   @ enabled_brcv params state
 
-let next_enabled params state =
-  let sections =
-    [
-      enabled_label;
-      enabled_gpsnd_app;
-      enabled_gpsnd_summary;
-      enabled_confirm;
-      enabled_brcv;
-    ]
+(* The first enabled locally controlled action: only the first non-empty
+   section is computed, so a drain never builds the (possibly large)
+   batch or summary action behind an enabled [label]. *)
+let first_enabled params state =
+  match enabled_label params state with
+  | a :: _ -> Some a
+  | [] -> (
+      match enabled_gpsnd_app params state with
+      | a :: _ -> Some a
+      | [] -> (
+          match enabled_gpsnd_summary params state with
+          | a :: _ -> Some a
+          | [] -> (
+              match enabled_confirm params state with
+              | a :: _ -> Some a
+              | [] -> (
+                  match enabled_brcv params state with
+                  | a :: _ -> Some a
+                  | [] -> None))))
+
+(* The three long runs of a drain, each applied in one pass. A run is the
+   maximal sequence of that action which stepping [first_enabled] and
+   [transition] would take: no action of the run enables a
+   higher-priority section, so stepping would pick the same action again
+   until the run's own precondition fails, which is where each loop
+   stops. *)
+
+(* [label] every delayed value. Labelling changes neither [current] nor
+   [status], so [may_process] holds throughout. *)
+let label_run params state =
+  let id =
+    match state.current with
+    | Some v -> v.View.id
+    | None -> invalid_arg "Vstoto.label_run: label enabled with no view"
   in
-  List.find_map
-    (fun section ->
-      match section params state with a :: _ -> Some a | [] -> None)
-    sections
+  let content, buffer, nextseqno =
+    Tape.fold_left
+      (fun (content, buffer, seqno) a ->
+        let l = Label.make ~id ~seqno ~origin:params.me in
+        (Label.Map.add l a content, Tape.snoc buffer l, seqno + 1))
+      (state.content, state.buffer, state.nextseqno)
+      state.delay
+  in
+  {
+    state with
+    content;
+    buffer;
+    nextseqno;
+    delay = Tape.drop (Tape.length state.delay) state.delay;
+  }
+
+(* [confirm] every label that is safe and next in order. Called only
+   when [confirm] is enabled, so [primary] holds, and confirming leaves
+   [current] alone. *)
+let confirm_run state =
+  let rec go k =
+    match Tape.nth1 state.order k with
+    | Some l when Label.Set.mem l state.safe_labels -> go (k + 1)
+    | _ -> k
+  in
+  { state with nextconfirm = go state.nextconfirm }
+
+(* [brcv] every confirmed label, consing the reports onto [out_rev]. *)
+let report_run params state out_rev =
+  let rec go k out_rev =
+    if k >= state.nextconfirm then (k, out_rev)
+    else
+      match Tape.nth1 state.order k with
+      | None -> (k, out_rev)
+      | Some l -> (
+          match Label.Map.find_opt l state.content with
+          | None -> (k, out_rev)
+          | Some value ->
+              go (k + 1)
+                (Sys_action.Brcv
+                   { src = l.Label.origin; dst = params.me; value }
+                :: out_rev))
+  in
+  let nextreport, out_rev = go state.nextreport out_rev in
+  ({ state with nextreport }, out_rev)
+
+let drain params state =
+  let rec go state out_rev =
+    match first_enabled params state with
+    | None -> (state, List.rev out_rev)
+    | Some (Sys_action.Label_act _) -> go (label_run params state) out_rev
+    | Some (Sys_action.Confirm _) -> go (confirm_run state) out_rev
+    | Some (Sys_action.Brcv _) ->
+        let state, out_rev = report_run params state out_rev in
+        go state out_rev
+    | Some action -> (
+        match transition params state action with
+        | Some state -> go state (action :: out_rev)
+        | None ->
+            invalid_arg
+              (Format.asprintf "Vstoto.drain: %a enabled but rejected"
+                 Sys_action.pp action))
+  in
+  go state []
 
 let automaton params =
   {

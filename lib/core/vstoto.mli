@@ -84,14 +84,30 @@ val summary_of_state : state -> Summary.t
 (** [⟨content, order, nextconfirm, highprimary⟩]. *)
 
 val automaton : params -> (state, Sys_action.t) Gcs_automata.Automaton.t
+(** The specification object: Figure 10 as an I/O automaton, for
+    composition ({!Vstoto_system}), exploration and the tests. Building it
+    costs a name and an initial state; a driver that steps one processor
+    repeatedly uses {!transition} and {!drain} instead. *)
 
-val next_enabled : params -> state -> Sys_action.t option
-(** The first enabled locally controlled action, in the same priority
-    order as [automaton.enabled] ([label] before application [gpsnd]
-    before summary [gpsnd] before [confirm] before [brcv]) — but computed
-    lazily, so a drain loop that applies one action at a time does not
-    rebuild the full batch or summary action at every intermediate
-    state. *)
+val transition : params -> state -> Sys_action.t -> state option
+(** [(automaton params).transition], without building the automaton:
+    [None] when the action is not enabled (or not this processor's). *)
+
+val drain : params -> state -> state * Sys_action.t list
+(** Run the locally controlled actions to quiescence, in the priority
+    order of [automaton.enabled] ([label] before application [gpsnd]
+    before summary [gpsnd] before [confirm] before [brcv]), and return
+    the final state with the output actions — the [gpsnd]s and [brcv]s —
+    in the order they were taken.
+
+    The result equals stepping the first enabled action with
+    {!transition} until none is enabled: internal [label] and [confirm]
+    actions are applied but not returned. The three long runs — label
+    every delayed value, confirm every safe label next in order, report
+    every confirmed label — are each applied in one pass, since no
+    action of a run enables a higher-priority one; [gpsnd]s go through
+    {!transition}. The returned outputs never feed back into the state,
+    so a driver may hand them to the layer below after the drain. *)
 
 val equal_state : state -> state -> bool
 val pp_state : Format.formatter -> state -> unit

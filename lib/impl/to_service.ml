@@ -62,85 +62,78 @@ let node_params config me =
     pipeline = config.pipeline;
   }
 
-let apply_app config me action app =
-  let automaton = Vstoto.automaton (node_params config me) in
-  match automaton.Gcs_automata.Automaton.transition app action with
+let apply_app params action app =
+  match Vstoto.transition params app action with
   | Some app' -> app'
   | None ->
       invalid_arg
         (Format.asprintf "to_service: VStoTO rejected %a" Sys_action.pp action)
 
-(* Drain the enabled locally controlled actions of the VStoTO automaton,
-   translating gpsnd outputs into VS-layer client sends and brcv outputs
-   into trace events. Returns the updated node and accumulated effects.
-   Uses [next_enabled] so each iteration computes only the first enabled
-   action instead of materialising the whole enabled set (which would
-   rebuild the batch message at every intermediate state). *)
-let drain ?metrics config me node =
-  let params = node_params config me in
-  let rec go node effects_rev =
-    match Vstoto.next_enabled params node.app with
-    | None -> (node, List.rev effects_rev)
-    | Some action -> (
-        let app = apply_app config me action node.app in
-        let node = { node with app } in
-        match action with
-        | Sys_action.Vs (Vs_action.Gpsnd { msg; _ }) ->
-            (match metrics with
-            | Some m -> (
-                match msg with
-                | Msg.App _ ->
-                    Gcs_stdx.Metrics.observe m "to.batch_size" 1.
-                | Msg.Batch entries ->
-                    Gcs_stdx.Metrics.observe m "to.batch_size"
-                      (float_of_int (List.length entries))
-                | Msg.Summary _ -> ())
-            | None -> ());
-            (* Hand the message to the VS layer as a client send. *)
-            let vs_state', vs_effects =
-              Vs_node.client_send config.vs me msg node.vs_state
-            in
-            let effects_rev =
-              List.rev_append
-                (List.map
-                   (function
-                     | Engine.Output a -> Engine.Output (Vs_layer a)
-                     | Engine.Send s -> Engine.Send s
-                     | Engine.Set_timer t -> Engine.Set_timer t
-                     | Engine.Cancel_timer c -> Engine.Cancel_timer c)
-                   vs_effects)
-                effects_rev
-            in
-            go { node with vs_state = vs_state' } effects_rev
-        | Sys_action.Brcv { src; dst; value } ->
-            go node
-              (Engine.Output (Client (To_action.Brcv { src; dst; value }))
-              :: effects_rev)
-        | Sys_action.Label_act _ | Sys_action.Confirm _ -> go node effects_rev
-        | Sys_action.Bcast _ | Sys_action.Vs _ ->
-            invalid_arg "to_service: unexpected locally controlled action")
+(* Drain the VStoTO automaton to quiescence, then hand its outputs on in
+   order: a gpsnd becomes a VS-layer client send, a brcv a client
+   output. Returns the updated node and the accumulated effects. *)
+let drain ?metrics config params node =
+  let app, actions = Vstoto.drain params node.app in
+  let rec go node effects_rev = function
+    | [] -> (node, List.rev effects_rev)
+    | Sys_action.Vs (Vs_action.Gpsnd { msg; _ }) :: rest ->
+        (match metrics with
+        | Some m -> (
+            match msg with
+            | Msg.App _ -> Gcs_stdx.Metrics.observe m "to.batch_size" 1.
+            | Msg.Batch entries ->
+                Gcs_stdx.Metrics.observe m "to.batch_size"
+                  (float_of_int (List.length entries))
+            | Msg.Summary _ -> ())
+        | None -> ());
+        let vs_state', vs_effects =
+          Vs_node.client_send config.vs params.Vstoto.me msg node.vs_state
+        in
+        let effects_rev =
+          List.rev_append
+            (List.map
+               (function
+                 | Engine.Output a -> Engine.Output (Vs_layer a)
+                 | Engine.Send s -> Engine.Send s
+                 | Engine.Set_timer t -> Engine.Set_timer t
+                 | Engine.Cancel_timer c -> Engine.Cancel_timer c)
+               vs_effects)
+            effects_rev
+        in
+        go { node with vs_state = vs_state' } effects_rev rest
+    | Sys_action.Brcv { src; dst; value } :: rest ->
+        go node
+          (Engine.Output (Client (To_action.Brcv { src; dst; value }))
+          :: effects_rev)
+          rest
+    | ( Sys_action.Label_act _ | Sys_action.Confirm _ | Sys_action.Bcast _
+      | Sys_action.Vs _ )
+      :: _ ->
+        invalid_arg "to_service: unexpected VStoTO drain output"
   in
-  go node []
+  go { node with app } [] actions
 
 (* Submit values to the VStoTO automaton (after any staging delay): all
    bcasts are applied first, then a single drain labels them and [gpsnd]s
    the whole buffer as one batch. *)
-let submit_batch ?metrics config me values node =
+let submit_batch ?metrics config params values node =
+  let me = params.Vstoto.me in
   let app =
     List.fold_left
-      (fun app value -> apply_app config me (Sys_action.Bcast (me, value)) app)
+      (fun app value -> apply_app params (Sys_action.Bcast (me, value)) app)
       node.app values
   in
-  drain ?metrics config me { node with app }
+  drain ?metrics config params { node with app }
 
 (* Route the effects produced by the VS node: VS outputs addressed to this
    processor become VStoTO inputs (then we drain); other effects pass
    through with outputs tagged. *)
 let absorb_vs_effects ?metrics config me (node, effects) =
+  let params = node_params config me in
   let rec go node acc_rev = function
     | [] -> (node, List.rev acc_rev)
     | Engine.Output (Vs_action.Newview _ as a) :: rest ->
-        let app = apply_app config me (Sys_action.Vs a) node.app in
+        let app = apply_app params (Sys_action.Vs a) node.app in
         let node = { node with app } in
         (* Flush anything still staged into the new view: a value accepted
            before the view change would otherwise sit in [staging] with no
@@ -160,8 +153,8 @@ let absorb_vs_effects ?metrics config me (node, effects) =
         in
         let node, drained =
           match staged with
-          | [] -> drain ?metrics config me node
-          | values -> submit_batch ?metrics config me values node
+          | [] -> drain ?metrics config params node
+          | values -> submit_batch ?metrics config params values node
         in
         go node
           (List.rev_append drained
@@ -169,9 +162,9 @@ let absorb_vs_effects ?metrics config me (node, effects) =
           rest
     | Engine.Output (Vs_action.Gprcv _ as a) :: rest
     | Engine.Output (Vs_action.Safe _ as a) :: rest ->
-        let app = apply_app config me (Sys_action.Vs a) node.app in
+        let app = apply_app params (Sys_action.Vs a) node.app in
         let node = { node with app } in
-        let node, drained = drain ?metrics config me node in
+        let node, drained = drain ?metrics config params node in
         go node
           (List.rev_append drained (Engine.Output (Vs_layer a) :: acc_rev))
           rest
@@ -206,7 +199,9 @@ let handlers ?metrics config =
     let record = Engine.Output (Client (To_action.Bcast (me, value))) in
     match submit_delay config with
     | None ->
-        let node, effects = submit_batch ?metrics config me [ value ] node in
+        let node, effects =
+          submit_batch ?metrics config (node_params config me) [ value ] node
+        in
         (node, record :: effects)
     | Some delay ->
         (* Arm the flush timer only on the empty→nonempty transition: the
@@ -238,6 +233,7 @@ let handlers ?metrics config =
          positive — a due-now head must flush in this step, never re-arm
          a zero-delay timer. *)
       let due_limit = now +. 1e-9 in
+      let params = node_params config me in
       let rec flush_due node effects_rev =
         let n = Gcs_stdx.Tape.length node.staging in
         let k =
@@ -261,7 +257,9 @@ let handlers ?metrics config =
           let node =
             { node with staging = Gcs_stdx.Tape.drop k node.staging }
           in
-          let node, effects = submit_batch ?metrics config me !flushed node in
+          let node, effects =
+            submit_batch ?metrics config params !flushed node
+          in
           flush_due node (List.rev_append effects effects_rev)
         end
       in

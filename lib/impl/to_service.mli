@@ -11,6 +11,13 @@ open Gcs_core
     ([brcv]) and submissions ([bcast]) appear in the timed trace, so runs
     can be checked against TO-machine and TO-property.
 
+    Inputs are applied with {!Vstoto.transition} and each drain is one
+    {!Vstoto.drain} call, with the automaton's params built once per
+    handler call: its [gpsnd] outputs become client sends of the VS node,
+    in order, and its [brcv] outputs client deliveries. The drain equals
+    stepping [Vstoto.automaton] action by action (a qcheck property pins
+    this), so the service runs the verified automaton unchanged.
+
     The [stable_storage_latency] option models the Keidar–Dolev design
     point discussed in Section 1: every submitted value is written to
     stable storage (a fixed latency) before the algorithm processes it.

@@ -426,6 +426,37 @@ let prop_random_failures_preserve_to =
       Result.is_ok (To_service.to_conforms config run)
       && Result.is_ok (To_service.vs_conforms config run))
 
+(* Allocation pin for the VStoTO drain: a preloaded burst of 2,500
+   values per origin on three processors, batched, in one domain. The
+   drain labels, confirms and reports each value in one pass and builds
+   no automaton per action; rebuilding one per action, as the drain once
+   did, costs ~875 minor-heap words per client delivery against ~344. *)
+let test_burst_drain_allocation () =
+  let procs = Proc.all ~n:3 in
+  let per_origin = 2500 in
+  let config =
+    To_service.make_config ~batch_window:0.02
+      { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1e6; delta = 0.001 }
+  in
+  let workload =
+    List.concat_map
+      (fun p ->
+        List.init per_origin (fun k -> (0.0, p, Printf.sprintf "v%d.%d" p k)))
+      procs
+  in
+  let before = Gc.minor_words () in
+  let run =
+    To_service.run config ~workload ~failures:[] ~until:5.0 ~seed:1
+  in
+  let words = Gc.minor_words () -. before in
+  let deliveries = To_service.deliveries run in
+  Alcotest.(check int) "every value delivered everywhere"
+    (3 * 3 * per_origin) deliveries;
+  let per_delivery = words /. float_of_int deliveries in
+  if per_delivery > 500. then
+    Alcotest.failf "%.0f minor words per client delivery (bound 500)"
+      per_delivery
+
 let () =
   Alcotest.run "end_to_end"
     [
@@ -458,6 +489,11 @@ let () =
             test_batching_timer_invariant;
           Alcotest.test_case "submit during view change" `Quick
             test_submit_during_view_change;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "burst drain allocation" `Quick
+            test_burst_drain_allocation;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_failures_preserve_to ] );

@@ -344,6 +344,107 @@ let prop_invariants_hold =
         (run ~steps:250 (seed + 500))
       = None)
 
+(* The one-pass drain against the specification: from node states of
+   random system executions (with and without pipelining), plus the same
+   states with values waiting in [delay] and with all or half of the
+   ordered labels made safe (so confirms are pending), [Vstoto.drain]
+   must reach the
+   same state and emit the same gpsnd/brcv actions as stepping the first
+   enabled action of [Vstoto.automaton] one at a time. *)
+
+let step_drain params state =
+  let a = Vstoto.automaton params in
+  let rec go state out_rev =
+    match a.Automaton.enabled state with
+    | [] -> (state, List.rev out_rev)
+    | action :: _ -> (
+        let state = Automaton.step_exn a state action in
+        match action with
+        | Sys_action.Vs (Vs_action.Gpsnd _) | Sys_action.Brcv _ ->
+            go state (action :: out_rev)
+        | Sys_action.Label_act _ | Sys_action.Confirm _ | Sys_action.Bcast _
+        | Sys_action.Vs _ ->
+            go state out_rev)
+  in
+  go state []
+
+let drain_variants params state =
+  let delayed =
+    List.fold_left
+      (fun s v ->
+        Automaton.step_exn (Vstoto.automaton params) s
+          (Sys_action.Bcast (params.Vstoto.me, v)))
+      state [ "x"; "y"; "z" ]
+  in
+  (* Make the first [k] labels of [order] safe: confirms become pending
+     up to position [k], and stop there when [k] falls short. *)
+  let safe_upto k s =
+    {
+      s with
+      Vstoto.safe_labels =
+        List.fold_left
+          (fun acc l -> Label.Set.add l acc)
+          s.Vstoto.safe_labels
+          (List.filteri (fun i _ -> i < k) (Gcs_stdx.Tape.to_list s.Vstoto.order));
+    }
+  in
+  let all_safe s = safe_upto (Gcs_stdx.Tape.length s.Vstoto.order) s in
+  let half_safe s =
+    safe_upto ((s.Vstoto.nextconfirm + Gcs_stdx.Tape.length s.Vstoto.order) / 2) s
+  in
+  [ state; delayed; all_safe state; half_safe state; all_safe delayed ]
+
+(* Node states (with their params) of one random execution. *)
+let sampled_nodes ~pipeline seed =
+  let params, automaton =
+    if pipeline then (pipeline_params, pipeline_automaton)
+    else (params, automaton)
+  in
+  let e = run ~steps:250 ~params ~automaton seed in
+  List.concat_map
+    (fun st ->
+      List.map
+        (fun p ->
+          (Vstoto_system.node_params params p, Vstoto_system.node st p))
+        procs)
+    (Exec.states e)
+
+let drain_agrees (params, state) =
+  List.for_all
+    (fun s ->
+      let s1, out1 = Vstoto.drain params s in
+      let s2, out2 = step_drain params s in
+      Vstoto.equal_state s1 s2 && List.equal Sys_action.equal out1 out2)
+    (drain_variants params state)
+
+let prop_drain_matches_stepping =
+  QCheck.Test.make ~name:"one-pass drain equals stepping the automaton"
+    ~count:50
+    QCheck.(pair small_nat bool)
+    (fun (seed, pipeline) ->
+      List.for_all drain_agrees (sampled_nodes ~pipeline (seed + 900)))
+
+(* The sampled states reach the cases the runs exist for: a state
+   exchange in progress (both phases) with values waiting, and, with
+   pipelining, labelling resumed during collect. *)
+let test_drain_samples_cover_exchange () =
+  let nodes =
+    List.concat_map
+      (fun seed ->
+        sampled_nodes ~pipeline:false seed @ sampled_nodes ~pipeline:true seed)
+      [ 900; 901; 902; 903; 904 ]
+  in
+  let count pred = List.length (List.filter pred nodes) in
+  let status st (_, s) = Vstoto.status_equal s.Vstoto.status st in
+  Alcotest.(check bool) "send states sampled" true (count (status Vstoto.Send) > 0);
+  Alcotest.(check bool) "collect states sampled" true
+    (count (status Vstoto.Collect) > 0);
+  Alcotest.(check bool) "pending confirms sampled" true
+    (count (fun (params, s) ->
+         match Vstoto.drain params s with
+         | s', _ -> s'.Vstoto.nextconfirm > s.Vstoto.nextconfirm)
+    > 0)
+
 let () =
   Alcotest.run "vstoto"
     [
@@ -377,6 +478,12 @@ let () =
             test_corrected_blocks_racy_label;
           Alcotest.test_case "corrected precondition is sound" `Slow
             test_fixed_label_precondition_sound;
+        ] );
+      ( "drain",
+        [
+          Alcotest.test_case "samples cover the state exchange" `Quick
+            test_drain_samples_cover_exchange;
+          QCheck_alcotest.to_alcotest prop_drain_matches_stepping;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_invariants_hold ]);
     ]
