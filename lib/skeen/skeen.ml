@@ -30,6 +30,17 @@ module Mid_map = Map.Make (struct
   let compare = mid_compare
 end)
 
+(* Delivery-queue key: (timestamp, committed, mid) — see [deliver_ready]. *)
+module Queue_set = Set.Make (struct
+  type t = ts * bool * mid
+
+  let compare (ta, ca, ma) (tb, cb, mb) =
+    match ts_compare ta tb with
+    | 0 -> (
+        match Bool.compare ca cb with 0 -> mid_compare ma mb | c -> c)
+    | c -> c
+end)
+
 (* ------------------------------ protocol ----------------------------- *)
 
 type input = { value : Value.t; dests : Proc.t list }
@@ -61,6 +72,7 @@ type node = {
   next_seq : int;
   coords : coord Mid_map.t;
   pending : entry Mid_map.t;
+  queue : Queue_set.t;
   delivered : int;
 }
 
@@ -71,6 +83,7 @@ let initial me =
     next_seq = 0;
     coords = Mid_map.empty;
     pending = Mid_map.empty;
+    queue = Queue_set.empty;
     delivered = 0;
   }
 
@@ -103,45 +116,26 @@ let snapshot_node node =
     node.coords;
   Buffer.contents buf
 
-(* A committed message is deliverable once its final timestamp is below
-   every uncommitted pending message's proposed timestamp: a proposed
+(* [queue] holds one key per pending entry, ordered by timestamp: the
+   proposed one while uncommitted, the final one once committed. A
+   committed message is deliverable once it heads the queue: a proposed
    timestamp lower-bounds the final one (final = max over proposals), and
    any message not yet proposed here will be proposed above the current
-   clock, which the Commit already raised past every delivered final. All
-   timestamps within one node's pending set are distinct (a proposer's
-   clocks strictly increase; [origin] breaks cross-proposer ties), so the
-   strict comparison never blocks spuriously. *)
+   clock, which the Commit already raised past every delivered final. On
+   equal timestamps an uncommitted key sorts first, so a committed head is
+   strictly below every uncommitted proposal; committed ties break on
+   [mid]. All timestamps within one node's pending set are distinct (a
+   proposer's clocks strictly increase; [origin] breaks cross-proposer
+   ties), so the tie rule never blocks spuriously. *)
 let rec deliver_ready node =
-  let min_uncommitted =
-    Mid_map.fold
-      (fun _ e acc ->
-        match (e.final, acc) with
-        | Some _, _ -> acc
-        | None, None -> Some e.proposed
-        | None, Some b ->
-            if ts_compare e.proposed b < 0 then Some e.proposed else acc)
-      node.pending None
-  in
-  let best_committed =
-    Mid_map.fold
-      (fun m e acc ->
-        match e.final with
-        | None -> acc
-        | Some f -> (
-            match acc with
-            | Some (_, _, bf) when ts_compare bf f <= 0 -> acc
-            | _ -> Some (m, e, f)))
-      node.pending None
-  in
-  match best_committed with
-  | Some (m, e, f)
-    when (match min_uncommitted with
-         | None -> true
-         | Some bound -> ts_compare f bound < 0) ->
+  match Queue_set.min_elt_opt node.queue with
+  | Some ((_, true, m) as key) ->
+      let e = Mid_map.find m node.pending in
       let node =
         {
           node with
           pending = Mid_map.remove m node.pending;
+          queue = Queue_set.remove key node.queue;
           delivered = node.delivered + 1;
         }
       in
@@ -150,7 +144,7 @@ let rec deliver_ready node =
         Engine.Output
           (To_action.Brcv { src = m.sender; dst = node.me; value = e.value })
         :: rest )
-  | _ -> (node, [])
+  | Some (_, false, _) | None -> (node, [])
 
 let handlers config =
   let on_start _me node = (node, []) in
@@ -188,6 +182,7 @@ let handlers config =
               clock;
               pending =
                 Mid_map.add mid { value; proposed; final = None } node.pending;
+              queue = Queue_set.add (proposed, false, mid) node.queue;
             }
           in
           ( node,
@@ -240,6 +235,9 @@ let handlers config =
                     clock = max node.clock ts.clock;
                     pending =
                       Mid_map.add mid { e with final = Some ts } node.pending;
+                    queue =
+                      Queue_set.add (ts, true, mid)
+                        (Queue_set.remove (e.proposed, false, mid) node.queue);
                   }
                 in
                 deliver_ready node))
@@ -548,6 +546,33 @@ let expected_deliveries config workload =
 
 (* --------------------------- node invariants ------------------------- *)
 
+(* The delivery queue holds exactly one key per pending entry, carrying
+   its final timestamp once committed and its proposed one before. Keys
+   are distinct per [mid], so equal sizes plus membership of every
+   expected key make the two sets equal. *)
+let queue_incoherence p node =
+  let key m e =
+    match e.final with
+    | Some f -> (f, true, m)
+    | None -> (e.proposed, false, m)
+  in
+  let fail detail =
+    Some ("skeen-node-invariant", Printf.sprintf "proc %d: %s" p detail)
+  in
+  let queued = Queue_set.cardinal node.queue
+  and pending = Mid_map.cardinal node.pending in
+  if queued <> pending then
+    fail (Printf.sprintf "delivery queue holds %d keys for %d pending" queued pending)
+  else
+    match
+      Seq.find
+        (fun (m, e) -> not (Queue_set.mem (key m e) node.queue))
+        (Mid_map.to_seq node.pending)
+    with
+    | Some (m, _) ->
+        fail (Printf.sprintf "message %d.%d pending without its queue key" m.sender m.seq)
+    | None -> None
+
 let node_invariant_failure final_nodes =
   List.find_map
     (fun (p, node) ->
@@ -560,6 +585,7 @@ let node_invariant_failure final_nodes =
           ( "skeen-node-invariant",
             Printf.sprintf "proc %d: negative delivery count" p )
       else
+        (* Seeded with the queue check: its failure, if any, is reported. *)
         Mid_map.fold
           (fun m e acc ->
             match (acc, e.final) with
@@ -575,5 +601,5 @@ let node_invariant_failure final_nodes =
                         p m.sender m.seq f.clock f.origin e.proposed.clock
                         e.proposed.origin )
                 else None)
-          node.pending None)
+          node.pending (queue_incoherence p node))
     (Proc.Map.bindings final_nodes)

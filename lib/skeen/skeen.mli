@@ -156,5 +156,6 @@ val expected_deliveries : config -> (float * Proc.t * input) list -> int
 
 val node_invariant_failure : node Proc.Map.t -> (string * string) option
 (** First violated per-node structural invariant (check name, detail):
-    nonnegative clock and delivery count, and no committed entry below
-    this node's own proposal for it. *)
+    nonnegative clock and delivery count, no committed entry below this
+    node's own proposal for it, and a delivery queue holding exactly one
+    key per pending entry, at its final timestamp once committed. *)

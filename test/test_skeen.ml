@@ -1,7 +1,9 @@
 (* Tests for the Skeen timestamp total-order backend: full-group runs
    against the classic TO oracle, multi-group runs against the
    group-order oracle, the 3-hop latency contrast with the token ring,
-   codec totality, and sim-vs-bus agreement through the transport seam. *)
+   codec totality, sim-vs-bus agreement through the transport seam, and
+   the ordered delivery queue against a reference scan of the pending
+   set. *)
 
 open Gcs_core
 open Gcs_skeen
@@ -180,6 +182,48 @@ let test_delivery_latency () =
       | _ -> ())
     (Timed.actions run.Skeen.trace)
 
+let test_burst_scaling () =
+  (* A preloaded full-group burst leaves P proposals pending at every
+     node. The ordered delivery queue costs O(log P) per packet; a scan
+     of the whole pending set per delivery would make the burst
+     quadratic.
+     Pinned as a ratio of wall time per delivery between a burst ten
+     times larger and a small one, so the pin holds on any host speed:
+     linear scaling reads near 1x, the quadratic scan near 10x. *)
+  let procs = Proc.all ~n:3 in
+  let config = Skeen.make_config ~procs in
+  let per_delivery count =
+    let workload =
+      List.concat_map
+        (fun p ->
+          List.init count (fun k ->
+              (0.0, p, Skeen.full_group (Printf.sprintf "v%d.%d" p k))))
+        procs
+    in
+    let expected = Skeen.expected_deliveries config workload in
+    let outputs = List.length workload + expected in
+    let now = Unix.gettimeofday [@gcs.lint.allow "D2"] in
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = now () in
+      let run =
+        Skeen.run_on ~backend:(sim ~delta:0.001)
+          ~stop:(fun ~now:_ ~outputs:o -> o >= outputs)
+          config ~workload ~failures:[] ~until:60.0 ~seed:1
+      in
+      best := Float.min !best (now () -. t0);
+      Alcotest.(check int)
+        (Printf.sprintf "%d per origin: every delivery" count)
+        expected (Skeen.deliveries run)
+    done;
+    !best /. float_of_int expected
+  in
+  let small = per_delivery 300 and large = per_delivery 3_000 in
+  if large > 4.0 *. small then
+    Alcotest.failf
+      "per-delivery time grew %.1fx (%.1f us -> %.1f us) for a 10x burst"
+      (large /. small) (small *. 1e6) (large *. 1e6)
+
 let test_sim_vs_bus_anchored () =
   (* Single origin, full group, FIFO links: both backends must produce
      the identical per-node order — the submission order. *)
@@ -291,6 +335,161 @@ let qcheck_truncation_total =
           | Error _ -> true)
         (List.init (String.length s) Fun.id))
 
+(* ------------------------- delivery queue ---------------------------- *)
+
+(* The delivery rule as first written, kept as the reference for the
+   node's ordered queue: per delivery, one fold over the whole pending
+   set for the lowest uncommitted proposal and one for the lowest
+   committed final (ties to the lowest mid); deliver the latter if it is
+   strictly below the former. *)
+module Mid_map = Map.Make (struct
+  type t = Skeen.mid
+
+  let compare = Skeen.mid_compare
+end)
+
+type ref_entry = { r_value : Value.t; r_proposed : Skeen.ts; r_final : Skeen.ts option }
+type ref_node = { r_clock : int; r_pending : ref_entry Mid_map.t; r_delivered : int }
+
+let ref_initial = { r_clock = 0; r_pending = Mid_map.empty; r_delivered = 0 }
+
+let rec ref_deliver node =
+  let min_uncommitted =
+    Mid_map.fold
+      (fun _ e acc ->
+        match (e.r_final, acc) with
+        | Some _, _ -> acc
+        | None, None -> Some e.r_proposed
+        | None, Some b ->
+            if Skeen.ts_compare e.r_proposed b < 0 then Some e.r_proposed else acc)
+      node.r_pending None
+  in
+  let best_committed =
+    Mid_map.fold
+      (fun m e acc ->
+        match e.r_final with
+        | None -> acc
+        | Some f -> (
+            match acc with
+            | Some (_, _, bf) when Skeen.ts_compare bf f <= 0 -> acc
+            | _ -> Some (m, e, f)))
+      node.r_pending None
+  in
+  match best_committed with
+  | Some (m, e, f)
+    when (match min_uncommitted with
+         | None -> true
+         | Some bound -> Skeen.ts_compare f bound < 0) ->
+      let node, rest =
+        ref_deliver
+          {
+            node with
+            r_pending = Mid_map.remove m node.r_pending;
+            r_delivered = node.r_delivered + 1;
+          }
+      in
+      (node, (m.Skeen.sender, e.r_value) :: rest)
+  | _ -> (node, [])
+
+let ref_packet me node = function
+  | Skeen.Propose { mid; value; dests = _ } ->
+      if Mid_map.mem mid node.r_pending then (node, [])
+      else
+        let clock = node.r_clock + 1 in
+        let entry =
+          { r_value = value; r_proposed = { Skeen.clock; origin = me }; r_final = None }
+        in
+        ({ node with r_clock = clock; r_pending = Mid_map.add mid entry node.r_pending }, [])
+  | Skeen.Commit { mid; ts } -> (
+      match Mid_map.find_opt mid node.r_pending with
+      | Some ({ r_final = None; _ } as e) ->
+          ref_deliver
+            {
+              node with
+              r_clock = max node.r_clock ts.Skeen.clock;
+              r_pending = Mid_map.add mid { e with r_final = Some ts } node.r_pending;
+            }
+      | Some { r_final = Some _; _ } | None -> (node, []))
+  | Skeen.Proposal _ -> (node, [])
+
+let brcvs events =
+  List.filter_map
+    (function
+      | Gcs_sim.Engine.Output (To_action.Brcv { src; value; _ }) -> Some (src, value)
+      | _ -> None)
+    events
+
+(* Up to 12 messages from three senders to node 0. Each gets one or two
+   copies of its Propose and one or two Commits, all shuffled together,
+   so commits arrive in any order, duplicated, or before their Propose.
+   Finals are drawn from clocks about the size of the pending set and
+   from every origin, so they often land below node 0's own proposal or
+   on another pending proposal — the tie the queue's order must break. *)
+let gen_delivery_packets =
+  let open Gen in
+  int_range 1 12 >>= fun k ->
+  let gen_final =
+    map2 (fun clock origin -> { Skeen.clock; origin }) (int_range 0 (k + 2)) (int_range 0 3)
+  in
+  flatten_l
+    (List.init k (fun i ->
+         let mid = { Skeen.sender = 1 + (i mod 3); seq = i / 3 } in
+         let propose =
+           Skeen.Propose
+             { mid; value = Printf.sprintf "v%d.%d" mid.sender mid.seq; dests = [] }
+         in
+         map2
+           (fun copies finals ->
+             List.init copies (fun _ -> propose)
+             @ List.map (fun ts -> Skeen.Commit { mid; ts }) finals)
+           (int_range 1 2)
+           (list_size (int_range 1 2) gen_final)))
+  >>= fun per_message -> shuffle_l (List.concat per_message)
+
+let pp_packets =
+  Format.asprintf "%a"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Skeen.pp_packet)
+
+let qcheck_queue_matches_scan =
+  let me = 0 in
+  let h = Skeen.handlers config in
+  let src = function
+    | Skeen.Propose { mid; _ } | Skeen.Proposal { mid; _ } | Skeen.Commit { mid; _ } ->
+        mid.Skeen.sender
+  in
+  let show = List.map (fun (s, v) -> Printf.sprintf "%d:%s" s v) in
+  Test.make ~name:"delivery queue delivers exactly as the pending-set scan"
+    ~count:1000
+    (make ~print:pp_packets ~shrink:Shrink.list gen_delivery_packets)
+    (fun packets ->
+      let node, reference =
+        List.fold_left
+          (fun (node, reference) packet ->
+            let node, events =
+              h.Gcs_sim.Engine.on_packet me ~now:0.0 ~src:(src packet) packet node
+            in
+            let reference, expected = ref_packet me reference packet in
+            if brcvs events <> expected then
+              Test.fail_reportf "after %a: queue delivered [%s], scan [%s]"
+                Skeen.pp_packet packet
+                (String.concat " " (show (brcvs events)))
+                (String.concat " " (show expected));
+            (node, reference))
+          (Skeen.initial me, ref_initial)
+          packets
+      in
+      if
+        Skeen.node_clock node <> reference.r_clock
+        || Skeen.node_delivered node <> reference.r_delivered
+        || Skeen.node_pending node <> Mid_map.cardinal reference.r_pending
+      then
+        Test.fail_reportf
+          "final state: clock %d/%d, delivered %d/%d, pending %d/%d (queue/scan)"
+          (Skeen.node_clock node) reference.r_clock (Skeen.node_delivered node)
+          reference.r_delivered (Skeen.node_pending node)
+          (Mid_map.cardinal reference.r_pending);
+      true)
+
 let () =
   Alcotest.run "skeen"
     [
@@ -301,6 +500,8 @@ let () =
           Alcotest.test_case "sender fifo per dest set" `Quick test_sender_fifo;
           Alcotest.test_case "partition keeps safety" `Quick test_partition_safety;
           Alcotest.test_case "3-hop delivery latency" `Quick test_delivery_latency;
+          Alcotest.test_case "burst cost per delivery stays flat" `Quick
+            test_burst_scaling;
         ] );
       ( "transport",
         [
@@ -311,4 +512,5 @@ let () =
       ( "codec",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_roundtrip; qcheck_decode_total; qcheck_truncation_total ] );
+      ("queue", [ QCheck_alcotest.to_alcotest qcheck_queue_matches_scan ]);
     ]
