@@ -37,6 +37,13 @@ type 'm state = {
       (* the leader launched a token that has not yet returned; guards
          against a stale launch timer forking the per-view order *)
   last_launch : float;
+  taken : int;
+      (* outbuf length at the last token visit: the send that grows the
+         outbuf past it is the first no token has collected, and asks the
+         leader for a launch *)
+  demand : bool;
+      (* leader: a [Want] arrived while the token was in flight, so the
+         token is relaunched on its return even if it comes back empty *)
 }
 
 let initial config me =
@@ -57,6 +64,8 @@ let initial config me =
     max_token_entries = 0;
     token_outstanding = false;
     last_launch = neg_infinity;
+    taken = 0;
+    demand = false;
   }
 
 let current_view state = state.current
@@ -283,6 +292,7 @@ let process_token ?metrics config ~now ~launching state (tok : 'm Wire.token) =
       delivered_count;
       safe_count;
       max_token_entries = max state.max_token_entries (List.length entries);
+      taken = Gcs_stdx.Tape.length state.outbuf;
     }
   in
   (* (5) forward, or absorb at the leader *)
@@ -298,11 +308,16 @@ let process_token ?metrics config ~now ~launching state (tok : 'm Wire.token) =
   in
   if am_leader && not launching then (
     count metrics "vs.token_roundtrips";
-    if not (List.is_empty entries) then (
+    let relaunch = state.demand || not (List.is_empty entries) in
+    let state = { state with demand = false } in
+    if relaunch then (
       (* Entries not yet safe everywhere: relaunch at once, since every
          member must see them on the next pass before they can become
          safe and be pruned; within three rotations of the last pickup
-         the token is empty and falls back to the heartbeat below. *)
+         the token is empty and falls back to the heartbeat below. A
+         [Want] that arrived while the token was out relaunches it too:
+         the member that sent it may have been passed before its message
+         was there. *)
       count metrics "vs.tokens_launched";
       forward { state with last_launch = now })
     else
@@ -339,6 +354,25 @@ let launch_token ?metrics config ~now state =
         in
         process_token ?metrics config ~now ~launching:true state tok
 
+(* The leader's answer to a [Want], its own or a member's: launch a
+   resting token now, or relaunch an outstanding one when it returns.
+   The launch goes through the launch timer at delay 0, never inside the
+   send that asked for it: a launch emits gprcv/safe outputs, and a layer
+   that hands sends in through [client_send] (the TO service's drain)
+   passes that call's effects on without feeding them back. Before the
+   deferred first launch ([first_launch_delay]) no token has left yet
+   and that launch collects the message anyway, so the [Want] is
+   absorbed and the first launch time stays clock-independent. *)
+let want state viewid =
+  match state.current with
+  | Some view
+    when View_id.equal view.View.id viewid
+         && Proc.equal (leader_of view) state.me ->
+      if state.token_outstanding then ({ state with demand = true }, [])
+      else if Float.equal state.last_launch neg_infinity then (state, [])
+      else (state, [ Engine.Set_timer { id = timer_launch; delay = 0.0 } ])
+  | _ -> (state, [])
+
 (* ---------------- view installation ---------------- *)
 
 let install ?metrics config ~now state (view : View.t) =
@@ -353,6 +387,8 @@ let install ?metrics config ~now state (view : View.t) =
       safe_count = 0;
       stored_token = None;
       token_outstanding = false;
+      taken = 0;
+      demand = false;
       forming = None;
     }
   in
@@ -419,7 +455,18 @@ let on_input _config me ~now:_ msg state =
   let out = Engine.Output (Vs_action.Gpsnd { sender = state.me; msg }) in
   match state.current with
   | None -> (state, [ out ])
-  | Some _ -> ({ state with outbuf = Gcs_stdx.Tape.snoc state.outbuf msg }, [ out ])
+  | Some view ->
+      let first = Gcs_stdx.Tape.length state.outbuf = state.taken in
+      let state = { state with outbuf = Gcs_stdx.Tape.snoc state.outbuf msg } in
+      let leader = leader_of view in
+      if not first then (state, [ out ])
+      else if Proc.equal leader state.me then
+        let state, effects = want state view.View.id in
+        (state, out :: effects)
+      else
+        ( state,
+          [ out; Engine.Send { dst = leader; packet = Wire.Want { viewid = view.View.id } } ]
+        )
 
 let on_packet ?metrics ?(protocol = Three_round) config me ~now ~src packet state =
   ignore me;
@@ -464,6 +511,7 @@ let on_packet ?metrics ?(protocol = Three_round) config me ~now ~src packet stat
       let state = seen_num state viewid_num in
       if is_member state src then (state, [])
       else maybe_initiate ?metrics ~protocol config ~now state
+  | Wire.Want { viewid } -> want state viewid
 
 let on_timer ?metrics ?(protocol = Three_round) config me ~now ~id state =
   ignore me;

@@ -8,6 +8,11 @@ open Gcs_core
     every member, the leader relaunches it at once; when it returns empty
     after pruning, the leader absorbs it and launches the next one [pi]
     after the last launch, a heartbeat the token-loss timeout relies on.
+    A member whose client send is the first no token has collected since
+    its last visit sends the leader a [Want]: the leader launches a
+    resting token at once (through its launch timer, at delay 0) and
+    relaunches one in flight when it returns, so a new message does not
+    wait out the heartbeat.
     The token carries the per-view message sequence, per-member delivery
     counts (from which safe notifications are derived) and per-member
     append counts. A missing token (timeout) or contact from a processor
@@ -49,8 +54,9 @@ val handlers :
 (** Inputs are client messages ([gpsnd]); outputs are VS external
     actions. When [metrics] is given, the node counts [vs.*] events
     into it: views installed, tokens launched ([vs.tokens_launched],
-    counting heartbeat launches and immediate relaunches of a token that
-    still carries entries), leader token round-trips
+    counting heartbeat launches, launches on a [Want] and immediate
+    relaunches of a token that still carries entries or was asked for
+    while in flight), leader token round-trips
     ([vs.token_roundtrips], every return to the leader) and membership
     rounds initiated.
 
@@ -59,9 +65,12 @@ val handlers :
     client submissions (the TO service's batch window) set it past their
     initial flush, so whether the leader's own first batch boards the
     first rotation no longer depends on the backend's clock; launches
-    after view installs are unaffected. Later launches follow the usual
-    rule: immediately while the returned token carries entries, [pi]
-    after the last launch once it is empty. *)
+    after view installs are unaffected. A [Want] that reaches the leader
+    before that first launch is absorbed by it: the launch collects the
+    message anyway, and its time does not move. Later launches follow the
+    usual rule: immediately while the returned token carries entries or
+    a [Want] arrived while it was out, at once on a [Want] while it
+    rests, and otherwise [pi] after the last launch. *)
 
 val client_send :
   config ->
@@ -113,6 +122,7 @@ val impl_d : config -> float
     to π for a token, a full round delivers it everywhere (earlier ring
     positions see it on the following pass), and safe notifications
     propagate on one more pass — 3(π + nδ) plus two hops of slack. An
-    immediate relaunch only brings a launch earlier, so consecutive
-    launches stay at most π apart and the bound still holds; with the
-    token kept moving, a lone value is in fact safe within π + 2nδ. *)
+    immediate relaunch or a launch on a [Want] only brings a launch
+    earlier, so consecutive launches stay at most π apart and the bound
+    still holds; with the token launched on demand and kept moving, a
+    lone value is in fact safe within about (3n + 3)δ, with no π term. *)

@@ -18,6 +18,7 @@ type 'm packet =
   | ViewMsg of { view : View.t }
   | Token of 'm token
   | Probe of { viewid_num : int }
+  | Want of { viewid : View_id.t }
 
 let fresh_token viewid =
   {
@@ -222,6 +223,7 @@ let write_packet write_m w = function
       W.tag w 'v'; write_viewid w view.id; W.list w W.int (Proc.Set.elements view.set)
   | Token t -> W.tag w 't'; write_token write_m w t
   | Probe { viewid_num } -> W.tag w 'p'; W.int w viewid_num
+  | Want { viewid } -> W.tag w 'w'; write_viewid w viewid
 
 let read_packet read_m r =
   match R.tag r with
@@ -235,6 +237,7 @@ let read_packet read_m r =
       ViewMsg { view = View.make id (R.list r R.int) }
   | 't' -> Token (read_token read_m r)
   | 'p' -> Probe { viewid_num = R.int r }
+  | 'w' -> Want { viewid = read_viewid r }
   | c -> R.fail r "packet: unknown tag %C" c
 
 let packet_codec ~write_msg ~read_msg =
@@ -256,3 +259,4 @@ let pp_packet ppf = function
       Format.fprintf ppf "token(%a,#%d,|%d|)" View_id.pp t.viewid t.next_idx
         (List.length t.entries)
   | Probe { viewid_num } -> Format.fprintf ppf "probe(%d)" viewid_num
+  | Want { viewid } -> Format.fprintf ppf "want(%a)" View_id.pp viewid

@@ -31,6 +31,9 @@ type 'm packet =
   | Token of 'm token
   | Probe of { viewid_num : int }
       (** discovery contact; carries the prober's id counter *)
+  | Want of { viewid : View_id.t }
+      (** a member of view [viewid] holds client messages no token has
+          collected yet and asks the leader to launch the resting token *)
 
 val fresh_token : View_id.t -> 'm token
 val pp_packet : Format.formatter -> 'm packet -> unit

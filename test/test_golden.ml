@@ -5,7 +5,9 @@
    (Gcs_conformance.Service), and every later change must reproduce
    them: the `verify` benchmark workload, persisted fuzz corpora and
    repro files all depend on simulated behaviour staying byte-identical.
-   A deliberate behaviour change re-records them and says so. *)
+   A deliberate behaviour change re-records them and says so: the
+   VStoTO digests, counts and fuzz stats were re-recorded when the
+   leader began launching the token on a member's [Want]. *)
 
 open Gcs_core
 open Gcs_impl
@@ -42,7 +44,7 @@ let test_vstoto () =
   let scenario = Option.get (Scenario.find_builtin ~procs "split-heal") in
   let outcome = Harness.run ~config ~seed:7 scenario in
   Alcotest.(check string)
-    "harness outcome and metrics" "e4519610babdc60d7a836e28916aba2e"
+    "harness outcome and metrics" "bd041d6f99aa2368c00c536885b9a644"
     (hex (Harness.to_json_with_metrics outcome));
   let run =
     To_service.run config
@@ -52,10 +54,10 @@ let test_vstoto () =
       ~seed:7
   in
   Alcotest.(check string)
-    "trace" "71a2046f02ddb92486e5c78e5d3e0ac3"
+    "trace" "8f912c926d72220a1bbd6f271f57dc9e"
     (hex (render_out run.To_service.trace));
   Alcotest.(check (list int))
-    "final states, packets sent/dropped, events" [ 5; 650; 153; 1517 ]
+    "final states, packets sent/dropped, events" [ 5; 692; 155; 1570 ]
     [
       Proc.Map.cardinal run.To_service.final_nodes;
       run.To_service.packets_sent;
@@ -152,21 +154,21 @@ let test_suite () =
   Alcotest.(check (list string))
     "vstoto"
     [
-      "clean 12 36 290";
-      "partition-heal 12 36 457";
-      "crash-recover 12 36 437";
-      "ugly-link 12 36 430";
-      "slow-processor 12 36 427";
+      "clean 12 36 323";
+      "partition-heal 12 36 483";
+      "crash-recover 12 36 450";
+      "ugly-link 12 36 462";
+      "slow-processor 12 36 454";
     ]
     (outcomes (sim Services.vstoto));
   Alcotest.(check (list string))
     "vstoto batched"
     [
-      "clean 12 36 305";
-      "partition-heal 12 36 461";
-      "crash-recover 12 36 450";
-      "ugly-link 12 36 444";
-      "slow-processor 12 36 438";
+      "clean 12 36 326";
+      "partition-heal 12 36 476";
+      "crash-recover 12 36 446";
+      "ugly-link 12 36 463";
+      "slow-processor 12 36 491";
     ]
     (outcomes (sim ~batch_window:2.0 Services.vstoto));
   Alcotest.(check (list string))
@@ -197,9 +199,9 @@ let check_fuzz label ~stats ~corpus ~features outcome =
 let test_fuzz_services () =
   check_fuzz "vstoto"
     ~stats:
-      {|{"execs":60,"rounds":7,"corpus":48,"features":1432,"failures":0,"failure":null}|}
-    ~corpus:"fda4aff4e07d1f2a3614bceb6f26a4f0"
-    ~features:"db96a294a9b1a6e0854b6919a01dc018"
+      {|{"execs":60,"rounds":7,"corpus":51,"features":1441,"failures":0,"failure":null}|}
+    ~corpus:"8efba5b70e3560482b2d89b2e3a52585"
+    ~features:"ab8da837e3ddf3b2f77e9b6d7e9dfb70"
     (Fuzz.run ~jobs:1 ~config:fuzz_config ~seed:11 ~execs:60 ());
   check_fuzz "skeen"
     ~stats:
@@ -219,9 +221,9 @@ let test_fuzz_pairs () =
        ~seed:11 ~execs:40 ());
   check_fuzz "vstoto-sequencer"
     ~stats:
-      {|{"execs":40,"rounds":5,"corpus":26,"features":530,"failures":0,"failure":null}|}
-    ~corpus:"62a154885e3e815687fd44278a0f73cf"
-    ~features:"1e0d267b48494add1a9df95582f2e7a5"
+      {|{"execs":40,"rounds":5,"corpus":27,"features":552,"failures":0,"failure":null}|}
+    ~corpus:"d585d786984ae9c32c975d46a7c4f47e"
+    ~features:"2ce42bb2617f82f021c22e4ee060b68d"
     (Fuzz.run ~pair:Differential.Vstoto_sequencer ~jobs:1 ~config:fuzz_config
        ~seed:11 ~execs:40 ())
 
@@ -229,9 +231,9 @@ let test_fuzz_mutants () =
   let mutant name = Option.get (Mutant.find name) in
   check_fuzz "dup-delivery"
     ~stats:
-      {|{"execs":12,"rounds":1,"corpus":9,"features":396,"failures":1,"failure":{"check":"to-conformance","events":12,"shrunk_events":5,"shrink_execs":23}}|}
+      {|{"execs":12,"rounds":1,"corpus":9,"features":471,"failures":1,"failure":{"check":"to-conformance","events":12,"shrunk_events":5,"shrink_execs":23}}|}
     ~corpus:"ba752bed630d00bfa27b738fd17c06ec"
-    ~features:"34128f4989f5f7abf09f9cbffe4f662a"
+    ~features:"e920501abfe22cc4995a4b640164e0f5"
     (Fuzz.run ~mutant:(mutant "dup-delivery") ~jobs:1 ~config:fuzz_config
        ~seed:7 ~execs:200 ~shrink_budget:100 ());
   check_fuzz "skeen-commit-skew"

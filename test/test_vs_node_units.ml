@@ -82,46 +82,57 @@ let test_first_message_safe_within_bound () =
         (t -. 50.0 <= Vs_node.impl_d config))
     safes
 
-(* A lone value, submitted at t = 50 while the idle token sits at the
-   leader between heartbeats (π = 40). It waits at most π for the next
-   launch; from then on the token keeps circulating while it carries the
-   entry, so the entry is delivered everywhere within one rotation and
-   safe everywhere within two more: π + 3nδ plus two hops of slack. With
-   a token relaunched only every π, the safe pass waits on a second
-   heartbeat instead. *)
+(* A lone value needs no heartbeat. Its send asks the leader for the
+   token (a [Want]): a resting token is launched at once, and one in
+   flight is relaunched when it returns. From then on the token keeps
+   circulating while it carries the entry. So the value is safe
+   everywhere within about three rotations plus the [Want]'s hop:
+   (3n + 3)δ, with no π term. Waiting out the heartbeat instead costs up
+   to π more. The sweep covers the leader's own sends and every ring
+   position, a send while the first token is in flight (t = 0.5) and
+   sends while the token rests (t = 50, 63.3). *)
 let lone_value_config =
   { Vs_node.procs = Proc.all ~n:5; p0 = Proc.all ~n:5; pi = 40.0; mu = 1000.0; delta = 1.0 }
 
 let lone_value_until = 200.0
 
-let lone_value_run () =
+let lone_value_run ?(at = 50.0) ?(origin = 2) ?(seed = 3) () =
   let metrics = Gcs_stdx.Metrics.create () in
   let run =
     Vs_service.run ~metrics lone_value_config
-      ~workload:[ (50.0, 2, "only") ]
-      ~failures:[] ~until:lone_value_until ~seed:3
+      ~workload:[ (at, origin, "only") ]
+      ~failures:[] ~until:lone_value_until ~seed
   in
   (run, metrics)
 
 let test_lone_value_safe_without_idle_heartbeat () =
-  let run, _ = lone_value_run () in
   let c = lone_value_config in
   let n = float_of_int (List.length c.Vs_node.procs) in
-  let bound = c.Vs_node.pi +. (3.0 *. n *. c.Vs_node.delta) +. (2.0 *. c.Vs_node.delta) in
-  let safes =
-    List.filter_map
-      (fun (t, a) -> match a with Vs_action.Safe _ -> Some t | _ -> None)
-      (Gcs_core.Timed.actions run.Vs_service.trace)
-  in
-  Alcotest.(check int) "safe at all five members" 5 (List.length safes);
+  let bound = ((3.0 *. n) +. 3.0) *. c.Vs_node.delta in
   List.iter
-    (fun t ->
-      Alcotest.(check bool)
-        (Printf.sprintf "safe within pi + 3n.delta + 2.delta = %.0f (took %.2f)" bound
-           (t -. 50.0))
-        true
-        (t -. 50.0 <= bound && t -. 50.0 <= Vs_node.impl_d c))
-    safes
+    (fun (origin, at, seed) ->
+      let run, _ = lone_value_run ~at ~origin ~seed () in
+      let safes =
+        List.filter_map
+          (fun (t, a) -> match a with Vs_action.Safe _ -> Some t | _ -> None)
+          (Gcs_core.Timed.actions run.Vs_service.trace)
+      in
+      let case = Printf.sprintf "origin %d at %g seed %d" origin at seed in
+      Alcotest.(check int) (case ^ ": safe at all five members") 5 (List.length safes);
+      List.iter
+        (fun t ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: safe within (3n+3).delta = %.0f (took %.2f)" case
+               bound (t -. at))
+            true
+            (t -. at <= bound))
+        safes)
+    (List.concat_map
+       (fun origin ->
+         List.concat_map
+           (fun at -> List.map (fun seed -> (origin, at, seed)) [ 1; 3 ])
+           [ 0.5; 50.0; 63.3 ])
+       [ 0; 1; 2; 4 ])
 
 (* The same run: the idle heartbeat survives (at least one launch per π)
    and the immediate relaunches stop once the entry is pruned (a token
@@ -136,6 +147,120 @@ let test_token_heartbeat_without_spin () =
     (Printf.sprintf "%d <= tokens launched (%d) <= %d" lo launched hi)
     true
     (lo <= launched && launched <= hi)
+
+(* A run of [Vs_node] on the simulator that also counts, per processor,
+   the [Want]s it sends, and the [Want]s it sends with no token visit
+   since its previous one ([repeats]). *)
+let counted_run ?first_launch_delay config ~workload ~until ~seed =
+  let metrics = Gcs_stdx.Metrics.create () in
+  let wants = Hashtbl.create 8 and repeats = Hashtbl.create 8 in
+  let asked = Hashtbl.create 8 in
+  let bump tbl p = Hashtbl.replace tbl p (1 + Option.value ~default:0 (Hashtbl.find_opt tbl p)) in
+  let h = Vs_node.handlers ~metrics ?first_launch_delay config in
+  let counting p (state, effects) =
+    List.iter
+      (function
+        | Gcs_sim.Engine.Send { packet = Wire.Want _; _ } ->
+            bump wants p;
+            if Hashtbl.mem asked p then bump repeats p;
+            Hashtbl.replace asked p ()
+        | _ -> ())
+      effects;
+    (state, effects)
+  in
+  let handlers =
+    {
+      Gcs_sim.Engine.on_start = (fun p s -> counting p (h.on_start p s));
+      on_input = (fun p ~now m s -> counting p (h.on_input p ~now m s));
+      on_packet =
+        (fun p ~now ~src packet s ->
+          (match packet with Wire.Token _ -> Hashtbl.remove asked p | _ -> ());
+          counting p (h.on_packet p ~now ~src packet s));
+      on_timer = (fun p ~now ~id s -> counting p (h.on_timer p ~now ~id s));
+    }
+  in
+  let result =
+    Gcs_sim.Engine.run ~metrics
+      (Gcs_sim.Engine.default_config ~delta:config.Vs_node.delta)
+      ~procs:config.Vs_node.procs ~handlers ~init:(Vs_node.initial config)
+      ~inputs:workload ~failures:[] ~until ~prng:(Gcs_stdx.Prng.create seed)
+  in
+  let get tbl p = Option.value ~default:0 (Hashtbl.find_opt tbl p) in
+  (result, metrics, get wants, get repeats)
+
+(* Demand launches cost at most a bounded number of launches per value.
+   Each seed draws two to five bursts of sends (one origin, up to four
+   values δ/10 apart) in the first half of a stable run. Launches stay
+   within the heartbeats plus [c] per value: at most one demand launch
+   per [Want] and a few relaunches while the value's entry is not yet
+   safe everywhere. A demand flag that is never cleared keeps the token
+   spinning and breaks that bound. Each member also sends at most one
+   [Want] between two token visits: the leader folds the [Want]s of one
+   rotation into one flag, so a member that asked on every send would
+   add packets rather than launches, and this second check is the one
+   that sees it. *)
+let test_launches_bounded_by_sends () =
+  let config = lone_value_config in
+  let until = 600.0 and c = 4 in
+  for seed = 1 to 12 do
+    let prng = Gcs_stdx.Prng.create (1000 + seed) in
+    let workload =
+      List.concat
+        (List.init (2 + Gcs_stdx.Prng.int prng 4) (fun b ->
+             let origin = Gcs_stdx.Prng.pick_exn prng config.Vs_node.procs in
+             let start = Gcs_stdx.Prng.float prng *. until /. 2.0 in
+             List.init (1 + Gcs_stdx.Prng.int prng 4) (fun k ->
+                 ( start +. (0.1 *. float_of_int k),
+                   origin,
+                   Printf.sprintf "b%d.%d" b k ))))
+      |> List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
+    in
+    let values = List.length workload in
+    let result, metrics, _, repeats =
+      counted_run config ~workload ~until ~seed
+    in
+    let safes =
+      List.length
+        (List.filter
+           (function _, Vs_action.Safe _ -> true | _ -> false)
+           (Gcs_core.Timed.actions result.Gcs_sim.Engine.trace))
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: every value safe everywhere" seed)
+      (5 * values) safes;
+    let launched = Gcs_stdx.Metrics.counter metrics "vs.tokens_launched" in
+    let heartbeats = int_of_float (Float.ceil (until /. config.Vs_node.pi)) in
+    let bound = heartbeats + (c * values) in
+    if launched > bound then
+      Alcotest.failf "seed %d: %d launches for %d values (bound %d + %d x %d = %d)"
+        seed launched values heartbeats c values bound;
+    List.iter
+      (fun p ->
+        if repeats p > 0 then
+          Alcotest.failf "seed %d: proc %d sent %d wants with no token visit since its last"
+            seed p (repeats p))
+      config.Vs_node.procs
+  done
+
+(* With [first_launch_delay] the leader's first launch is deferred (the
+   TO service's batch window). [Want]s that reach the leader before it
+   are absorbed: that launch collects their messages anyway, and its
+   time must not depend on when they arrive. The leader's own value is
+   delivered at the first launch, so its gprcv time is the launch time. *)
+let test_wants_absorbed_by_deferred_first_launch () =
+  let config = lone_value_config and delay = 10.0 in
+  let workload = [ (0.5, 0, "leader"); (0.5, 1, "a"); (1.0, 3, "b"); (2.0, 4, "c") ] in
+  let result, _, wants, _ =
+    counted_run ~first_launch_delay:delay config ~workload ~until:100.0 ~seed:1
+  in
+  Alcotest.(check int) "followers asked" 3 (wants 1 + wants 3 + wants 4);
+  let first_gprcv =
+    List.find_map
+      (function t, Vs_action.Gprcv _ -> Some t | _ -> None)
+      (Gcs_core.Timed.actions result.Gcs_sim.Engine.trace)
+  in
+  Alcotest.(check (option (float 0.0))) "first delivery at the deferred launch"
+    (Some delay) first_gprcv
 
 (* Ring topology, including the wrap at the largest member and the
    invariant error on a corrupt (empty) view. *)
@@ -175,5 +300,9 @@ let () =
             test_lone_value_safe_without_idle_heartbeat;
           Alcotest.test_case "token heartbeat without spin" `Quick
             test_token_heartbeat_without_spin;
+          Alcotest.test_case "launches bounded by sends" `Quick
+            test_launches_bounded_by_sends;
+          Alcotest.test_case "wants absorbed by deferred launch" `Quick
+            test_wants_absorbed_by_deferred_first_launch;
         ] );
     ]

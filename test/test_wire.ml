@@ -35,6 +35,7 @@ let equal_packet eq_msg (a : 'm Wire.packet) (b : 'm Wire.packet) =
   | Wire.ViewMsg a, Wire.ViewMsg b -> View.equal a.view b.view
   | Wire.Token a, Wire.Token b -> equal_token eq_msg a b
   | Wire.Probe a, Wire.Probe b -> a.viewid_num = b.viewid_num
+  | Wire.Want a, Wire.Want b -> View_id.equal a.viewid b.viewid
   | _ -> false
 
 (* ---------------------------- generators ---------------------------- *)
@@ -117,6 +118,7 @@ let gen_packet =
       Gen.map (fun view -> Wire.ViewMsg { view }) gen_view;
       Gen.map (fun t -> Wire.Token t) gen_token;
       Gen.map (fun viewid_num -> Wire.Probe { viewid_num }) (Gen.int_range 0 999);
+      Gen.map (fun viewid -> Wire.Want { viewid }) gen_viewid;
     ]
 
 let arb_packet =
@@ -176,7 +178,8 @@ let test_constructors () =
   check_roundtrip "nack" (Wire.Nack { viewid = vid; proposed_num = 7 });
   check_roundtrip "viewmsg" (Wire.ViewMsg { view = View.make vid [ 0; 1; 2 ] });
   check_roundtrip "token" (Wire.Token (Wire.fresh_token vid));
-  check_roundtrip "probe" (Wire.Probe { viewid_num = 12 })
+  check_roundtrip "probe" (Wire.Probe { viewid_num = 12 });
+  check_roundtrip "want" (Wire.Want { viewid = vid })
 
 let test_empty_view () =
   check_roundtrip "empty membership" (Wire.ViewMsg { view = View.make vid [] })
@@ -320,6 +323,22 @@ let test_hostile_frames () =
   check_hostile "one trailing byte" (enc (Wire.Probe { viewid_num = 3 }) ^ "x");
   check_hostile "unknown tag" ("?" ^ zz 3)
 
+(* A [Want] is its tag and the view id, nothing else: every proper
+   prefix is a truncation, and anything after the id is trailing. *)
+let test_want_pinned () =
+  let frame = "w" ^ zz 3 ^ zz 1 in
+  Alcotest.(check string) "want" frame (enc (Wire.Want { viewid = vid }));
+  Alcotest.(check string) "want, large id" ("w" ^ zz 300 ^ zz 4)
+    (enc (Wire.Want { viewid = View_id.make ~num:300 ~origin:4 }));
+  for cut = 0 to String.length frame - 1 do
+    check_hostile
+      (Printf.sprintf "want cut at %d" cut)
+      (String.sub frame 0 cut)
+  done;
+  check_hostile "want without its origin" ("w" ^ zz 3);
+  check_hostile "want with a trailing byte" (frame ^ "x");
+  check_hostile "want with a 10-byte varint" ("w" ^ String.make 9 '\xff' ^ "\x01")
+
 (* The burst workload's token: one entry carrying a 2,500-value batch. *)
 let big_batch_frame =
   lazy
@@ -385,6 +404,8 @@ let () =
         [
           Alcotest.test_case "varints pinned" `Quick test_format_pinned;
           Alcotest.test_case "hostile frames rejected" `Quick test_hostile_frames;
+          Alcotest.test_case "want pinned, truncations rejected" `Quick
+            test_want_pinned;
           Alcotest.test_case "2,500-value token: every truncation" `Quick
             test_big_batch_truncations;
           Alcotest.test_case "2,500-value token: every byte flip" `Quick
