@@ -447,19 +447,26 @@ let x10 () =
     Gcs_baseline.Sequencer.run_on ~backend:sim seq_config ~workload:wl
       ~failures:[] ~until:400.0 ~seed:3
   in
-  let lamport_config = { Gcs_baseline.Lamport_to.procs } in
-  let lamport_run =
-    Gcs_baseline.Lamport_to.run ~delta lamport_config ~workload:wl ~failures:[]
-      ~until:400.0 ~seed:3
+  (* Skeen with full-group addressing: decentralized timestamp order
+     that must hear from every destination, on FIFO links. *)
+  let skeen_run ~workload ~failures ~until ~seed =
+    let module K = Gcs_skeen.Skeen in
+    K.run_on
+      ~backend:
+        (Gcs_conformance.Service.sim Gcs_conformance.Services.skeen ~delta)
+      (K.make_config ~procs)
+      ~workload:(List.map (fun (t, p, v) -> (t, p, K.full_group v)) workload)
+      ~failures ~until ~seed
   in
+  let skeen_steady = skeen_run ~workload:wl ~failures:[] ~until:400.0 ~seed:3 in
   let steady =
     [
       ( "fixed sequencer",
         mean_latency (Timed.actions seq_run.Gcs_baseline.Sequencer.trace),
         Gcs_baseline.Sequencer.deliveries seq_run );
-      ( "lamport timestamps",
-        mean_latency (Timed.actions lamport_run.Gcs_baseline.Lamport_to.trace),
-        Gcs_baseline.Lamport_to.deliveries lamport_run );
+      ( "skeen (full group)",
+        mean_latency (Timed.actions skeen_steady.Gcs_skeen.Skeen.trace),
+        Gcs_skeen.Skeen.deliveries skeen_steady );
       ( "VStoTO",
         mean_latency (Timed.actions (To_service.client_trace vstoto_run)),
         To_service.deliveries vstoto_run );
@@ -479,14 +486,11 @@ let x10 () =
       ~failures ~until:500.0 ~seed:4
   in
   let vstoto_part = To_service.run to_config ~workload:wl2 ~failures ~until:500.0 ~seed:4 in
-  let lamport_part =
-    Gcs_baseline.Lamport_to.run ~delta lamport_config ~workload:wl2 ~failures
-      ~until:500.0 ~seed:4
-  in
+  let skeen_part = skeen_run ~workload:wl2 ~failures ~until:500.0 ~seed:4 in
   let partitioned =
     [
       ("fixed sequencer", Gcs_baseline.Sequencer.deliveries seq_part);
-      ("lamport timestamps", Gcs_baseline.Lamport_to.deliveries lamport_part);
+      ("skeen (full group)", Gcs_skeen.Skeen.deliveries skeen_part);
       ("VStoTO", To_service.deliveries vstoto_part);
     ]
   in
@@ -1194,11 +1198,10 @@ let x22 () =
     To_service.make_config
       { Vs_node.procs; p0 = procs; pi = 8.0; mu = 10.0; delta = 1.0 }
   in
-  let budget = function
-    | Gcs_fuzz.Differential.Sim_bus -> 12
-    | Gcs_fuzz.Differential.Skeen_bus -> 30
-    | Gcs_fuzz.Differential.Vstoto_skeen
-    | Gcs_fuzz.Differential.Vstoto_sequencer -> 400
+  let budget pair =
+    match pair.Gcs_fuzz.Differential.backend with
+    | Gcs_fuzz.Differential.Bus -> 30
+    | Gcs_fuzz.Differential.Sim -> 400
   in
   let pair_rows =
     List.map
@@ -1209,7 +1212,7 @@ let x22 () =
           Gcs_fuzz.Fuzz.run ~pair ~jobs:!jobs ~config ~seed:3 ~execs ()
         in
         let wall = wall_now () -. t0 in
-        let name = Gcs_fuzz.Differential.name pair in
+        let name = pair.Gcs_fuzz.Differential.name in
         let rate = float_of_int execs /. wall in
         row "%18s %8d %10.2f %12.1f %10d\n" name execs wall rate
           outcome.Gcs_fuzz.Fuzz.stats.Gcs_fuzz.Fuzz.features;

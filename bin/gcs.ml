@@ -600,11 +600,15 @@ let fuzz_cmd =
       value & opt string ""
       & info [ "diff" ] ~docv:"PAIR"
           ~doc:
-            "Differential mode: run every schedule on two backends and \
-             treat any disagreement in per-node delivered orders as \
-             crash-grade. PAIR is one of $(b,sim-bus), $(b,skeen-bus), \
-             $(b,vstoto-skeen), $(b,vstoto-sequencer). Faults are \
-             stripped; mutation works the submission sequence and seed.")
+            ("Differential mode: run every schedule on two backends and \
+              treat any disagreement in per-node delivered orders as \
+              crash-grade. PAIR is one of "
+            ^ String.concat ", "
+                (List.map
+                   (fun p -> "$(b," ^ p.Gcs_fuzz.Differential.name ^ ")")
+                   Gcs_fuzz.Differential.all)
+            ^ ". Faults are stripped; mutation works the submission \
+               sequence and seed."))
   in
   let soak_arg =
     Arg.(
@@ -731,7 +735,7 @@ let fuzz_cmd =
         (fun m ->
           Printf.printf "%-24s %s (pair: %s)\n" m.Gcs_fuzz.Diff_mutant.name
             m.Gcs_fuzz.Diff_mutant.doc
-            (Gcs_fuzz.Differential.name m.Gcs_fuzz.Diff_mutant.pair))
+            m.Gcs_fuzz.Diff_mutant.pair.Gcs_fuzz.Differential.name)
         Gcs_fuzz.Diff_mutant.all
     else begin
       let vs_config = mk_config n delta pi mu in
@@ -741,24 +745,24 @@ let fuzz_cmd =
           (fun name -> Option.get (Gcs_conformance.Services.find name))
           service
       in
-      let mutant, tamper, mutant_pair =
+      let mutant, diff_mutant =
         match mutant with
-        | "" -> (None, None, None)
+        | "" -> (None, None)
         | name -> (
             match Gcs_fuzz.Mutant.find name with
-            | Some m -> (Some m, None, None)
+            | Some m -> (Some m, None)
             | None -> (
                 match Gcs_fuzz.Diff_mutant.find name with
-                | Some m ->
-                    ( m.Gcs_fuzz.Diff_mutant.mutant,
-                      m.Gcs_fuzz.Diff_mutant.tamper,
-                      Some m.Gcs_fuzz.Diff_mutant.pair )
+                | Some m -> (m.Gcs_fuzz.Diff_mutant.mutant, Some m)
                 | None ->
                     Printf.eprintf
                       "error: unknown mutant %s (try --list-mutants, \
                        --list-diff-mutants)\n"
                       name;
                     exit 2))
+      in
+      let tamper =
+        Option.bind diff_mutant (fun m -> m.Gcs_fuzz.Diff_mutant.tamper)
       in
       (* A planted bug instruments one service's handlers: pairing it with
          another service (or a pair with another candidate) would fuzz a
@@ -771,26 +775,23 @@ let fuzz_cmd =
           exit 2
       in
       let pair =
-        match (diff, mutant_pair) with
-        | "", p -> p
-        | s, _ -> (
+        match diff with
+        | "" -> Option.map (fun m -> m.Gcs_fuzz.Diff_mutant.pair) diff_mutant
+        | s -> (
             match Gcs_fuzz.Differential.of_name s with
             | None ->
-                Printf.eprintf
-                  "error: unknown pair %s (one of: %s)\n" s
+                Printf.eprintf "error: unknown pair %s (one of: %s)\n" s
                   (String.concat ", "
-                     (List.map Gcs_fuzz.Differential.name
+                     (List.map
+                        (fun p -> p.Gcs_fuzz.Differential.name)
                         Gcs_fuzz.Differential.all));
                 exit 2
-            | Some p -> (
-                match mutant_pair with
-                | Some mp when mp <> p ->
-                    Printf.eprintf
-                      "error: mutant targets pair %s, not %s\n"
-                      (Gcs_fuzz.Differential.name mp)
-                      (Gcs_fuzz.Differential.name p);
-                    exit 2
-                | _ -> Some p))
+            | Some p ->
+                refusing (fun () ->
+                    Option.iter
+                      (fun m -> Gcs_fuzz.Diff_mutant.check m p)
+                      diff_mutant);
+                Some p)
       in
       if replay <> "" then begin
         let contents =
@@ -861,11 +862,8 @@ let fuzz_cmd =
               && s.Gcs_fuzz.Fuzz.rounds mod max 1 snapshot_every = 0
             then
               Gcs_stdx.Fileio.write_atomic ~path:snapshot
-                (Printf.sprintf
-                   {|{"execs":%d,"rounds":%d,"corpus":%d,"features":%d,"wall_s":%.1f}|}
-                   s.Gcs_fuzz.Fuzz.execs s.Gcs_fuzz.Fuzz.rounds
-                   s.Gcs_fuzz.Fuzz.corpus_size s.Gcs_fuzz.Fuzz.features
-                   (wall_now () -. started))
+                (Gcs_fuzz.Fuzz.snapshot_to_json s
+                   ~wall_s:(wall_now () -. started))
           in
           Some
             (fun s ->
@@ -1577,53 +1575,6 @@ let load_cmd =
         (const run $ backend_arg $ n_arg $ count_arg $ rate_arg $ window_arg
        $ seed_arg $ json_arg))
 
-(* ------------------------------- diff ------------------------------- *)
-
-let diff_cmd =
-  let run pairs seed out_dir =
-    let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
-    let failures = ref 0 in
-    for i = 0 to pairs - 1 do
-      let seed = seed + (i * 131) in
-      let r = Gcs_conformance.Differential.run_pair ~seed () in
-      Printf.printf "%s\n%!"
-        (Format.asprintf "%a" Gcs_conformance.Differential.pp_report r);
-      if not (Gcs_conformance.Differential.passed r) then begin
-        incr failures;
-        let file =
-          Filename.concat out_dir (Printf.sprintf "divergence-seed-%d.json" seed)
-        in
-        let oc = open_out file in
-        output_string oc (Gcs_conformance.Differential.dump r);
-        output_string oc "\n";
-        close_out oc;
-        Printf.printf "  -> artifact %s\n%!" file
-      end
-    done;
-    let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
-    Printf.printf "%d pairs in %.1f s, %d failure(s)\n" pairs wall !failures;
-    if !failures > 0 then exit 1
-  in
-  let pairs_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "pairs" ] ~docv:"K"
-          ~doc:"Seeded sim/bus workload pairs to compare.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:"Directory for divergence artifacts (JSON, one per failure).")
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Differential transport check: run seeded client workloads through \
-          both the simulator and the bus and fail on any difference in \
-          per-node delivered orders, dumping both orders as a JSON artifact.")
-    Term.(const run $ pairs_arg $ seed_arg $ out_arg)
-
 let () =
   let doc = "Partitionable group communication service reproduction" in
   exit
@@ -1643,5 +1594,4 @@ let () =
             lockcheck_cmd;
             bus_cmd;
             load_cmd;
-            diff_cmd;
           ]))

@@ -101,27 +101,3 @@ let describe ~left_label ~right_label = function
         (List.length left) right_label
         (excerpt ~around:index right)
         (List.length right)
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let to_json ~left_label ~right_label = function
-  | Agree -> "null"
-  | Diverged { node; index; left; right } ->
-      let seq l = "[" ^ String.concat "," (List.map json_string l) ^ "]" in
-      Printf.sprintf "{\"node\":%d,\"index\":%d,%s:%s,%s:%s}" node index
-        (json_string left_label) (seq left) (json_string right_label)
-        (seq right)

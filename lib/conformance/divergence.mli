@@ -1,7 +1,7 @@
 open Gcs_core
 
-(** Per-node delivered-order comparison — the shared judge behind
-    [gcs diff], the differential fuzzing mode and the tests.
+(** Per-node delivered-order comparison — the shared judge behind the
+    differential fuzzing mode and the tests.
 
     Two executions of the same workload on two backends (or two
     protocols) agree when every node delivered the same messages; for
@@ -47,11 +47,3 @@ val incomplete :
 val describe :
   left_label:string -> right_label:string -> verdict -> string
 (** One-line human rendering with an excerpt around the mismatch. *)
-
-val to_json :
-  left_label:string -> right_label:string -> verdict -> string
-(** [null] for {!Agree}, else an object with node, index and both full
-    sequences under the given labels. *)
-
-val json_string : string -> string
-(** JSON string literal escaping (shared by the report dumpers). *)

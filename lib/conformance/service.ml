@@ -61,6 +61,7 @@ let split_at p es =
   go [] es
 
 type 'node progress = Outputs | Deliveries of ('node -> int)
+type anchoring = Token_anchored | Serialized
 
 module type S = sig
   val name : string
@@ -86,6 +87,7 @@ module type S = sig
   val progress : node progress
   val completes_under_faults : bool
   val batching : bool
+  val anchoring : anchoring
   val client_trace : out Timed.t -> Value.t To_action.t Timed.t
   val settle : config -> stabilization:float -> workload_end:float -> float
   val slack : delta:float -> float

@@ -66,6 +66,22 @@ type 'node progress =
       (** outputs include internal layers; the node's client-delivery
           count measures progress *)
 
+(** How a fault-free submission sequence is scheduled so that its
+    delivered order does not depend on the backend. This is what lets a
+    differential pair compare a simulated run and a wall-clock run of the
+    same service exactly. *)
+type anchoring =
+  | Token_anchored
+      (** Every submission at t = 0, under a timing profile in which no
+          timeout fires (δ large, μ huge, π small). Each node handles its
+          whole workload before the first token reaches it, so the token
+          fixes the order by ring traversal alone. *)
+  | Serialized
+      (** Submissions spaced further apart than one ordering round on
+          either clock, and admitted on the bus only once the earlier
+          ones are fully delivered. Each commits before the next is
+          born, so the delivered order is the submission order. *)
+
 module type S = sig
   val name : string
   (** Registry key and [--service] value: ["vstoto"], ["skeen"], ... *)
@@ -117,6 +133,9 @@ module type S = sig
   val batching : bool
   (** Whether submissions coalesce under the shared configuration's
       batch window; without it the window does not apply. *)
+
+  val anchoring : anchoring
+  (** How a sim-vs-bus differential schedules this service's workload. *)
 
   val client_trace : out Timed.t -> Value.t To_action.t Timed.t
 

@@ -49,6 +49,7 @@ module Vstoto = struct
 
   let completes_under_faults = true
   let batching = true
+  let anchoring = Service.Token_anchored
 
   let client_trace trace =
     Timed.map
@@ -198,6 +199,7 @@ module Skeen = struct
   let progress = Service.Outputs
   let completes_under_faults = false
   let batching = false
+  let anchoring = Service.Serialized
   let client_trace trace = trace
 
   let settle _ ~stabilization ~workload_end =
@@ -256,6 +258,7 @@ module Sequencer = struct
   let progress = Service.Outputs
   let completes_under_faults = false
   let batching = false
+  let anchoring = Service.Serialized
   let client_trace trace = trace
 
   let settle _ ~stabilization ~workload_end =

@@ -21,6 +21,11 @@ type t = {
   mutant : Service.tagged option;
 }
 
+let pair_named name =
+  match Differential.of_name name with
+  | Some p -> p
+  | None -> invalid_arg ("Diff_mutant: no pair " ^ name)
+
 (* ------------------------- transport tampers ------------------------- *)
 
 (* Swap the payloads of node 0's first two client submissions (times
@@ -33,7 +38,7 @@ let bus_swap_inputs =
     doc =
       "the bus transposes node 0's first two submissions (an input-queue \
        bug): every single-execution oracle accepts the reordered run";
-    pair = Differential.Sim_bus;
+    pair = pair_named "sim-bus";
     tamper =
       Some { Gcs_transport.Bus.swap_inputs_at = Some (0, 0) };
     mutant = None;
@@ -48,7 +53,7 @@ let skeen_swap_inputs =
     doc =
       "the Skeen bus transposes node 0's first two submissions — the \
        committed order matches the transposed schedule, not the real one";
-    pair = Differential.Skeen_bus;
+    pair = pair_named "skeen-bus";
     tamper =
       Some { Gcs_transport.Bus.swap_inputs_at = Some (0, 0) };
     mutant = None;
@@ -129,7 +134,7 @@ let skeen_delay_deliver =
   {
     name = "skeen-delay-deliver";
     doc;
-    pair = Differential.Skeen_bus;
+    pair = pair_named "skeen-bus";
     tamper = None;
     mutant =
       Some
@@ -152,7 +157,7 @@ let vs_delay_deliver =
   {
     name = "vs-delay-deliver";
     doc;
-    pair = Differential.Sim_bus;
+    pair = pair_named "sim-bus";
     tamper = None;
     mutant =
       Some
@@ -174,3 +179,9 @@ let all =
 
 let find name = List.find_opt (fun m -> String.equal m.name name) all
 let names = List.map (fun m -> m.name) all
+
+let check m (p : Differential.pair) =
+  if not (String.equal m.pair.Differential.name p.Differential.name) then
+    invalid_arg
+      (Printf.sprintf "mutant %s targets pair %s, not %s" m.name
+         m.pair.Differential.name p.Differential.name)

@@ -26,3 +26,7 @@ type t = {
 val all : t list
 val find : string -> t option
 val names : string list
+
+val check : t -> Differential.pair -> unit
+(** Raises [Invalid_argument] unless the mutant infects that pair (pairs
+    compare by name). *)

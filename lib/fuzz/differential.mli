@@ -1,82 +1,77 @@
-open Gcs_impl
-
 (** Differential execution: every backend becomes an oracle.
 
     One differential execution runs a fuzz input's fault-free workload
-    on two backends with the same seed and judges the per-node delivered
-    orders with {!Gcs_conformance.Divergence}. Any disagreement —
-    missing deliveries or divergent sequences — is crash-grade: the
-    protocols promise one story per schedule, so two correct executions
-    cannot tell different ones. This catches exactly the bugs a
-    single-execution oracle battery cannot: reorderings that are
-    internally consistent (each run alone passes every safety check) but
-    inconsistent with each other.
+    twice with the same seed — a reference service on the deterministic
+    simulator, and a candidate service on the simulator or on the
+    multi-domain bus — and judges the per-node delivered orders with
+    {!Gcs_conformance.Divergence}. Any disagreement — missing deliveries
+    or divergent sequences — is crash-grade: the protocols promise one
+    story per schedule, so two correct executions cannot tell different
+    ones. This catches exactly the bugs a single-execution oracle
+    battery cannot: reorderings that are internally consistent (each run
+    alone passes every safety check) but inconsistent with each other.
 
-    Faults are stripped from differential inputs because cross-backend
-    order agreement is only specified fault-free; each pair also owns
-    its workload timing (anchored at zero, or serialized), keeping the
-    input's contribution to the genome transport-independent: the
-    submission sequence, the origins and the seed.
+    A pair is data. Everything else follows from its fields:
+    - {b comparison}: the same service on both sides must deliver the
+      same sequence at every node; two services, the same contents;
+    - {b anchoring}: against a bus candidate, the workload is scheduled
+      by the candidate service's {!Gcs_conformance.Service.anchoring}
+      and both sides end once it has drained; sim-vs-sim pairs keep the
+      stripped input times;
+    - {b coverage}: a simulated candidate adds its coverage to the
+      reference's; a bus candidate adds none, since wall-clock coverage
+      is nondeterministic.
+
+    So a new service gets its sim-vs-bus pair ({!sim_bus}) from its
+    {!Gcs_conformance.Services} registration alone.
 
     Planted divergence-only bugs ({!Diff_mutant}) apply to the
-    {e candidate} (second) execution only; the reference side stays the
-    oracle and supplies the run's coverage (coverage from a wall-clock
-    candidate would be nondeterministic). *)
+    candidate execution only; the reference side stays the oracle. *)
 
-type pair =
-  | Sim_bus
-      (** VStoTO on the deterministic simulator vs the multi-domain bus,
-          under the conformance harness's anchored workload — exact
-          per-node order equality. *)
-  | Skeen_bus
-      (** Skeen on the simulator vs the bus, under a serialized workload
-          (each submission commits before the next is born) — exact
-          equality. *)
-  | Vstoto_skeen
-      (** VStoTO vs Skeen, both simulated, full-group addressing —
-          per-node content (multiset) equality, since the two protocols
-          legitimately pick different total orders. *)
-  | Vstoto_sequencer
-      (** VStoTO vs the fixed-sequencer baseline, both simulated —
-          content equality. *)
+type backend = Sim | Bus
+
+type pair = {
+  name : string;  (** [--diff] value *)
+  reference : Gcs_conformance.Service.t;  (** run on the simulator *)
+  candidate : Gcs_conformance.Service.t;
+  backend : backend;  (** where the candidate runs *)
+  batch_window : float option;
+      (** submission batching for both sides (VStoTO only) *)
+}
+
+val sim_bus :
+  ?name:string -> ?batch_window:float -> Gcs_conformance.Service.t -> pair
+(** A service on the simulator against itself on the bus; named
+    ["<service>-bus"] unless [name] is given. *)
 
 val all : pair list
-val name : pair -> string
+(** The named pairs: [sim-bus] and [sim-bus-batched] (VStoTO, the second
+    with a 0.05 s batch window), [skeen-bus], and the simulated
+    cross-protocol pairs [vstoto-skeen] and [vstoto-sequencer]. *)
+
 val of_name : string -> pair option
-val doc : pair -> string
-
-val strip : Input.t -> Input.t
-(** The fault-free projection applied to every differential input. *)
-
-val candidate : pair -> Gcs_conformance.Service.t
-(** The service on the candidate (second) side: VStoTO for [Sim_bus],
-    Skeen for [Skeen_bus] and [Vstoto_skeen], the sequencer for
-    [Vstoto_sequencer]. *)
 
 val execute :
   ?tamper:Gcs_transport.Bus.tamper ->
   ?mutant:Gcs_conformance.Service.tagged ->
-  config:To_service.config ->
+  config:Gcs_impl.To_service.config ->
   pair ->
   Input.t ->
   Runner.observation
-(** Run both sides and judge. The verdict is [check = "divergence"]
-    (same deliveries, different order), [check = "diff-incomplete"]
-    (a node missed deliveries on one side) or [check = "crash"];
-    the reference side's own oracle battery also applies where it runs
-    ({!pair.Skeen_bus} and the cross-protocol pairs reuse the
-    single-execution runners). Coverage comes from the reference
-    execution — including fuzzy-hashed state snapshots — so the
-    coverage-guided loop steers by deterministic features only.
-    [tamper] and [mutant] instrument the candidate side only; a mutant
-    of another service than the pair's {!candidate} raises
+(** Run both sides and judge. The verdict is the reference side's own
+    oracle failure if any, a crash of the candidate, [check =
+    "diff-incomplete"] (a node missed deliveries on one side) or [check
+    = "divergence"]. [config] is the shared configuration of simulated
+    pairs; a bus pair builds its own from the processor set and its
+    anchoring. [tamper] and [mutant] instrument the candidate side only;
+    a mutant of another service than the pair's candidate raises
     [Invalid_argument] as soon as the pair is applied, before anything
     runs. *)
 
 val oracle :
   ?tamper:Gcs_transport.Bus.tamper ->
   ?mutant:Gcs_conformance.Service.tagged ->
-  config:To_service.config ->
+  config:Gcs_impl.To_service.config ->
   check:string ->
   pair ->
   Input.t ->

@@ -347,26 +347,45 @@ let run ?service ?mutant ?tamper ?pair ?(seeds = []) ?jobs ?(batch = 8)
 
 (* ----------------------------- reporting ----------------------------- *)
 
+module J = Gcs_stdx.Jsonx
+
+let count i = J.Num (float_of_int i)
+
+let stats_fields s =
+  [
+    ("execs", count s.execs);
+    ("rounds", count s.rounds);
+    ("corpus", count s.corpus_size);
+    ("features", count s.features);
+  ]
+
 let stats_to_json outcome =
-  let failure_json =
-    match (outcome.failure, outcome.shrunk) with
-    | Some (input, f), Some s ->
-        Printf.sprintf
-          {|{"check":"%s","events":%d,"shrunk_events":%d,"shrink_execs":%d}|}
-          f.Runner.check (Input.events input)
-          (Input.events s.Shrink.input)
-          s.Shrink.execs
-    | Some (input, f), None ->
-        Printf.sprintf {|{"check":"%s","events":%d}|} f.Runner.check
-          (Input.events input)
-    | None, _ -> "null"
+  let failure =
+    match outcome.failure with
+    | None -> J.Null
+    | Some (input, f) ->
+        J.Obj
+          (("check", J.Str f.Runner.check)
+           :: ("events", count (Input.events input))
+           ::
+           (match outcome.shrunk with
+           | None -> []
+           | Some s ->
+               [
+                 ("shrunk_events", count (Input.events s.Shrink.input));
+                 ("shrink_execs", count s.Shrink.execs);
+               ]))
   in
-  Printf.sprintf
-    {|{"execs":%d,"rounds":%d,"corpus":%d,"features":%d,"failures":%d,"failure":%s}|}
-    outcome.stats.execs outcome.stats.rounds outcome.stats.corpus_size
-    outcome.stats.features
-    (List.length outcome.failures)
-    failure_json
+  J.encode
+    (J.Obj
+       (stats_fields outcome.stats
+       @ [
+           ("failures", count (List.length outcome.failures));
+           ("failure", failure);
+         ]))
+
+let snapshot_to_json stats ~wall_s =
+  J.encode (J.Obj (stats_fields stats @ [ ("wall_s", J.Num wall_s) ]))
 
 let corpus_strings outcome =
   List.map (fun e -> Input.to_string e.input) outcome.corpus

@@ -73,7 +73,7 @@ val run :
     (sequence order, origins, count, seed — no fault steps). In this
     mode [tamper] and [mutant] are the {!Diff_mutant} hooks infecting
     the candidate side, and [mutant] must belong to the pair's
-    {!Differential.candidate}.
+    candidate service.
 
     [seeds] are extra schedules replayed after the built-in seed corpus
     — a loaded {!Corpus} — and admitted under the same novelty rule,
@@ -91,6 +91,10 @@ val stats_to_json : outcome -> string
 (** Flat deterministic JSON of the run's observable results (stats,
     failure check, event counts before/after shrinking) — the
     across-[jobs] determinism tests compare these bytes. *)
+
+val snapshot_to_json : stats -> wall_s:float -> string
+(** One progress-snapshot object: the stats and the wall seconds spent
+    ([gcs fuzz --snapshot]). *)
 
 val corpus_strings : outcome -> string list
 (** Serialized corpus in admission order ({!Input.to_string}), for

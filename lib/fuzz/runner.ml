@@ -54,38 +54,11 @@ let crashed cov e =
    [observe], state snapshots at the service's quiescent points plus the
    final states, and the bucketed run-level counters. On the bus,
    [observe] calls are serialized by the backend, so the accumulators
-   need no extra locking. *)
-let instrumented (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
-    ?mutant ?stop ?(snapshot_point = S.snapshot_point) ~cov ~backend config
-    ~workload ~failures ~until ~seed =
-  let metrics = Gcs_stdx.Metrics.create () in
-  let snaps = ref [] in
-  let observe me pre post =
-    cov :=
-      List.fold_left Coverage.add !cov (S.transition_features config me pre post);
-    if snapshot_point pre post then snaps := S.snapshot post :: !snaps
-  in
-  let result =
-    Service.run (module S) ?mutant ~metrics ~observe ?stop ~backend config
-      ~workload ~failures ~until ~seed
-  in
-  let trace = S.client_trace result.Gcs_transport.Iface.trace in
-  let bcasts, deliveries = Service.tally trace in
-  cov :=
-    counter_features metrics ~names:S.counter_names ~tag:S.counter_tag ~bcasts
-      ~deliveries !cov;
-  let finals =
-    List.map
-      (fun (_, node) -> S.snapshot node)
-      (Proc.Map.bindings result.Gcs_transport.Iface.final_states)
-  in
-  cov :=
-    Coverage.union !cov
-      (Coverage.fuzzy_features ~tag:S.fuzzy_tag (finals @ !snaps));
-  (result, trace, bcasts, deliveries)
-
+   need no extra locking. With [drain], the run ends once every
+   destination has delivered the whole workload, and by [drain] at the
+   latest. *)
 let run (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
-    (mutant : (c, n, i, p, o) Service.mutant option) ?backend ?stop ?dests
+    (mutant : (c, n, i, p, o) Service.mutant option) ?backend ?drain ?dests
     ~config input =
   let delta = config.Gcs_impl.To_service.vs.Gcs_impl.Vs_node.delta in
   let config = S.configure config in
@@ -105,18 +78,47 @@ let run (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
       ~workload_end
     +. S.slack ~delta
   in
+  let until, drained, stop =
+    match drain with
+    | None -> (until, None, None)
+    | Some horizon ->
+        let observe, stop =
+          Service.drained (module S) config ~workload ~after:Float.neg_infinity
+        in
+        (Float.min until horizon, observe, Some stop)
+  in
   let cov = ref Coverage.empty in
+  let snaps = ref [] in
+  let observe me pre post =
+    Option.iter (fun f -> f me pre post) drained;
+    cov :=
+      List.fold_left Coverage.add !cov (S.transition_features config me pre post);
+    if S.snapshot_point pre post then snaps := S.snapshot post :: !snaps
+  in
   (try
      let backend =
-       match backend with
-       | Some b -> b
-       | None -> Gcs_sim.Backend.of_config (S.engine ~delta)
+       match backend with Some b -> b | None -> Service.sim (module S) ~delta
      in
-     let result, trace, bcasts, deliveries =
-       instrumented (module S) ?mutant ?stop ~cov ~backend config ~workload
+     let metrics = Gcs_stdx.Metrics.create () in
+     let result =
+       Service.run (module S) ?mutant ~metrics ~observe ?stop ~backend config
+         ~workload
          ~failures:(Scenario.compile ~procs scenario)
          ~until ~seed:input.Input.seed
      in
+     let trace = S.client_trace result.Gcs_transport.Iface.trace in
+     let bcasts, deliveries = Service.tally trace in
+     cov :=
+       counter_features metrics ~names:S.counter_names ~tag:S.counter_tag
+         ~bcasts ~deliveries !cov;
+     let finals =
+       List.map
+         (fun (_, node) -> S.snapshot node)
+         (Proc.Map.bindings result.Gcs_transport.Iface.final_states)
+     in
+     cov :=
+       Coverage.union !cov
+         (Coverage.fuzzy_features ~tag:S.fuzzy_tag (finals @ !snaps));
      let verdict =
        Option.map
          (fun (check, detail) -> { check; detail })
@@ -140,12 +142,12 @@ let run (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
      crashed !cov e)
   [@gcs.lint.allow "P2"]
 
-let execute_full ?service ?mutant ?backend ?stop ?dests ~config input =
+let execute_full ?service ?mutant ?backend ?drain ?dests ~config input =
   let (module S : Service.S) = subject ?service ?mutant () in
   match mutant with
   | Some (Service.Tagged (s, m)) ->
-      run s (Some m) ?backend ?stop ?dests ~config input
-  | None -> run (module S) None ?backend ?stop ?dests ~config input
+      run s (Some m) ?backend ?drain ?dests ~config input
+  | None -> run (module S) None ?backend ?drain ?dests ~config input
 
 let execute ?service ?mutant ?backend ?dests ~config input =
   fst (execute_full ?service ?mutant ?backend ?dests ~config input)

@@ -32,7 +32,7 @@ val execute_full :
   ?service:Gcs_conformance.Service.t ->
   ?mutant:Gcs_conformance.Service.tagged ->
   ?backend:Gcs_transport.Iface.backend ->
-  ?stop:(now:float -> outputs:int -> bool) ->
+  ?drain:float ->
   ?dests:Gcs_core.Proc.t list ->
   config:Gcs_impl.To_service.config ->
   Input.t ->
@@ -47,8 +47,11 @@ val execute_full :
     the simulator runs at its δ. [backend] runs the input on a pluggable
     transport instead (times become wall-clock seconds; coverage over
     [engine.*] counters degenerates to zero buckets, which only matters
-    to the coverage-guided loop — the verdict oracles apply unchanged);
-    [stop] is forwarded to it. [dests] addresses every submission to
+    to the coverage-guided loop — the verdict oracles apply unchanged).
+    [drain] ends the run as soon as every destination has delivered the
+    whole workload ({!Gcs_conformance.Service.drained}), and by time
+    [drain] at the latest — the fallback for a run that never drains,
+    where the service's own horizon would be far off. [dests] addresses every submission to
     those processors ([[]]: the whole group; the cross-protocol pairs'
     hook, see {!Gcs_conformance.Service.S.lift}). *)
 
@@ -92,31 +95,3 @@ val subject :
 (** The service an execution drives: [service], else the mutant's, else
     VStoTO. Raises [Invalid_argument] when [mutant] belongs to another
     service than [service]. *)
-
-(** {2 Coverage}
-
-    Exported for the differential mode, whose reference executions run
-    with custom horizons and stop conditions but must produce the same
-    deterministic coverage as {!execute}. *)
-
-val instrumented :
-  ('c, 'n, 'i, 'p, 'o) Gcs_conformance.Service.s ->
-  ?mutant:('c, 'n, 'i, 'p, 'o) Gcs_conformance.Service.mutant ->
-  ?stop:(now:float -> outputs:int -> bool) ->
-  ?snapshot_point:('n -> 'n -> bool) ->
-  cov:Coverage.t ref ->
-  backend:Gcs_transport.Iface.backend ->
-  'c ->
-  workload:(float * Gcs_core.Proc.t * 'i) list ->
-  failures:(float * Gcs_core.Fstatus.event) list ->
-  until:float ->
-  seed:int ->
-  ('n, 'o) Gcs_transport.Iface.result
-  * Gcs_core.Value.t Gcs_core.To_action.t Gcs_core.Timed.t
-  * int
-  * int
-(** One run accumulating the service's coverage into [cov]: transition
-    features, fuzzy-hashed snapshots at [snapshot_point] (default the
-    service's own) and of the final states, and the bucketed counters.
-    Returns the result, its client trace, and the bcast and delivery
-    counts. *)

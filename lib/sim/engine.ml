@@ -292,8 +292,8 @@ let process_event sim ~now ev =
           schedule sim ~time { ev with delayed_once = true }
       | Fstatus.Good | Fstatus.Ugly -> handle sim ~now ~proc ev.payload)
 
-let run ?metrics ?observe config ~procs ~handlers ~init ~inputs ~failures
-    ~until ~prng =
+let run ?metrics ?observe ?stop config ~procs ~handlers ~init ~inputs
+    ~failures ~until ~prng =
   let metrics =
     match metrics with Some m -> m | None -> Gcs_stdx.Metrics.create ()
   in
@@ -345,7 +345,16 @@ let run ?metrics ?observe config ~procs ~handlers ~init ~inputs ~failures
       (match observe with Some f -> f proc state state' | None -> ());
       apply_effects sim ~now:0.0 ~proc effects)
     procs;
-  let rec loop () =
+  (* [stop] counts only the outputs in front of the [seen] tail of the
+     trace, the ones the last event added: the effect path keeps no
+     counter, and a run without [stop] pays nothing for it. *)
+  let rec added ~seen acc = function
+    | l when l == seen -> acc
+    | [] -> acc
+    | { Timed.item = Timed.Action _; _ } :: l -> added ~seen (acc + 1) l
+    | { Timed.item = Timed.Status _; _ } :: l -> added ~seen acc l
+  in
+  let rec loop ~outputs ~seen =
     let depth = Event_queue.size sim.queue in
     if depth > sim.max_queue_depth then sim.max_queue_depth <- depth;
     match Event_queue.pop sim.queue with
@@ -355,10 +364,15 @@ let run ?metrics ?observe config ~procs ~handlers ~init ~inputs ~failures
         else begin
           sim.queue <- rest;
           process_event sim ~now:time ev;
-          loop ()
+          match stop with
+          | None -> loop ~outputs ~seen
+          | Some stop ->
+              let outputs = added ~seen outputs sim.trace_rev in
+              if not (stop ~now:time ~outputs) then
+                loop ~outputs ~seen:sim.trace_rev
         end
   in
-  loop ();
+  loop ~outputs:0 ~seen:[];
   let c name v = Gcs_stdx.Metrics.incr ~by:v metrics name in
   c "engine.events_processed" sim.events_processed;
   c "engine.statuses_applied" sim.statuses_applied;

@@ -86,6 +86,7 @@ type ('state, 'out) result = ('state, 'out) Gcs_transport.Iface.result = {
 val run :
   ?metrics:Gcs_stdx.Metrics.t ->
   ?observe:(Proc.t -> 'state -> 'state -> unit) ->
+  ?stop:(now:float -> outputs:int -> bool) ->
   config ->
   procs:Proc.t list ->
   handlers:('state, 'input, 'packet, 'out) handlers ->
@@ -99,5 +100,9 @@ val run :
     every handler application, including the start-up calls — a pure
     observation hook (it must not mutate shared state that feeds back into
     the run). The schedule fuzzer uses it to derive abstract-state
-    coverage from state transitions without recording state history. *)
+    coverage from state transitions without recording state history.
+
+    [stop ~now ~outputs:k] is asked after every event, with [k] the
+    [Output] effects recorded so far; once it holds the run ends there,
+    a prefix of the run to [until]. *)
 

@@ -109,7 +109,8 @@ module type BACKEND = sig
       run early once the workload has visibly drained, instead of
       sleeping out a conservative wall-clock horizon ([now] lets a
       predicate refuse to stop before a fault schedule has fully
-      played). The simulator ignores it (virtual time is free). *)
+      played). The simulator asks it after every event, so a stopped
+      simulated run is a prefix of the run to the horizon. *)
 end
 
 type backend = (module BACKEND)

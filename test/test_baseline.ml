@@ -1,5 +1,6 @@
-(* Tests for the fixed-sequencer baseline, including the availability
-   contrast with the partitionable VStoTO stack. *)
+(* Tests for the baselines — the fixed sequencer, and Skeen as the
+   all-destinations protocol — including the availability contrast with
+   the partitionable VStoTO stack. *)
 
 open Gcs_core
 open Gcs_impl
@@ -62,6 +63,24 @@ let test_partition_stalls_cut_side () =
   Alcotest.(check bool) "sequencer side progresses" true (deliveries_at 0 > 0);
   Alcotest.(check int) "cut side stalls" 0 (deliveries_at 2 + deliveries_at 3)
 
+(* Mean bcast -> brcv latency over a client trace's actions. *)
+let mean_latency actions =
+  let sends = Hashtbl.create 64 in
+  let total = ref 0.0 and count = ref 0 in
+  List.iter
+    (fun (t, a) ->
+      match a with
+      | To_action.Bcast (p, v) -> Hashtbl.replace sends (p, v) t
+      | To_action.Brcv { src; value; _ } -> (
+          match Hashtbl.find_opt sends (src, value) with
+          | Some t0 ->
+              total := !total +. (t -. t0);
+              incr count
+          | None -> ())
+      | To_action.To_order _ -> ())
+    actions;
+  if !count = 0 then infinity else !total /. float_of_int !count
+
 let test_latency_comparison_with_vstoto () =
   (* In a well-behaved network the sequencer is faster than the token
      protocol (the price VStoTO pays for partition tolerance). *)
@@ -73,23 +92,6 @@ let test_latency_comparison_with_vstoto () =
   let to_config = To_service.make_config vs_config in
   let vstoto_run =
     To_service.run to_config ~workload:wl ~failures:[] ~until:400.0 ~seed:3
-  in
-  let mean_latency actions =
-    let sends = Hashtbl.create 64 in
-    let total = ref 0.0 and count = ref 0 in
-    List.iter
-      (fun (t, a) ->
-        match a with
-        | To_action.Bcast (p, v) -> Hashtbl.replace sends (p, v) t
-        | To_action.Brcv { src; value; _ } -> (
-            match Hashtbl.find_opt sends (src, value) with
-            | Some t0 ->
-                total := !total +. (t -. t0);
-                incr count
-            | None -> ())
-        | To_action.To_order _ -> ())
-      actions;
-    if !count = 0 then infinity else !total /. float_of_int !count
   in
   let seq_latency = mean_latency (Timed.actions seq_run.Sequencer.trace) in
   let vstoto_latency =
@@ -124,32 +126,48 @@ let test_vstoto_survives_where_sequencer_stalls () =
   Alcotest.(check bool) "vstoto: majority keeps delivering" true
     (To_service.deliveries vstoto_run > 0)
 
-(* ---------------- Lamport-timestamp total order ---------------- *)
+(* ---------------- Skeen: the all-destinations protocol ---------------- *)
 
-let lamport_config = { Lamport_to.procs }
+(* Skeen with full-group addressing is decentralized total order by
+   timestamps: a message commits once every destination has proposed,
+   so it needs to hear from every processor — the opposite end of the
+   availability spectrum from the paper's partitionable service. *)
+module Skeen = Gcs_skeen.Skeen
 
-let test_lamport_steady_state () =
+let skeen_config = Skeen.make_config ~procs
+
+let skeen_run ~workload ~failures ~until ~seed =
+  Skeen.run_on
+    ~backend:(Gcs_conformance.Service.sim Gcs_conformance.Services.skeen ~delta)
+    skeen_config
+    ~workload:(List.map (fun (t, p, v) -> (t, p, Skeen.full_group v)) workload)
+    ~failures ~until ~seed
+
+let check_skeen_conforms ~label run =
+  match Skeen.to_conforms skeen_config run with
+  | Ok () -> ()
+  | Error e ->
+      Alcotest.failf "skeen trace rejected (%s): %s" label
+        (Format.asprintf "%a" To_trace_checker.pp_error e)
+
+let test_skeen_steady_state () =
   List.iter
     (fun seed ->
       let run =
-        Lamport_to.run ~delta lamport_config
+        skeen_run
           ~workload:(workload ~senders:procs ~from_time:5.0 ~spacing:5.0 ~count:8)
           ~failures:[] ~until:300.0 ~seed
       in
-      (match Lamport_to.to_conforms lamport_config run with
-      | Ok () -> ()
-      | Error e ->
-          Alcotest.failf "lamport trace rejected (seed %d): %s" seed
-            (Format.asprintf "%a" To_trace_checker.pp_error e));
+      check_skeen_conforms ~label:(Printf.sprintf "seed %d" seed) run;
       Alcotest.(check int) "everything delivered everywhere"
         (4 * 4 * 8)
-        (Lamport_to.deliveries run))
+        (Skeen.deliveries run))
     [ 1; 2; 3 ]
 
-let test_lamport_stalls_on_any_crash () =
-  (* The all-to-all stability rule means a single unreachable processor
-     freezes deliveries for everyone — the paper's motivation for
-     partitionable services in one test. *)
+let test_skeen_stalls_on_any_crash () =
+  (* A message commits only once every destination has proposed, so a
+     single unreachable processor freezes deliveries for everyone — the
+     paper's motivation for partitionable services in one test. *)
   let failures =
     (30.0, Fstatus.Proc_status (3, Fstatus.Bad))
     :: List.concat_map
@@ -163,54 +181,30 @@ let test_lamport_stalls_on_any_crash () =
          procs
   in
   let run =
-    Lamport_to.run ~delta lamport_config
+    skeen_run
       ~workload:(workload ~senders:[ 0; 1 ] ~from_time:50.0 ~spacing:5.0 ~count:5)
       ~failures ~until:300.0 ~seed:7
   in
-  (match Lamport_to.to_conforms lamport_config run with
-  | Ok () -> ()
-  | Error e ->
-      Alcotest.failf "lamport trace rejected: %s"
-        (Format.asprintf "%a" To_trace_checker.pp_error e));
+  check_skeen_conforms ~label:"crash" run;
   Alcotest.(check int) "everyone stalls after one crash" 0
-    (Lamport_to.deliveries run)
+    (Skeen.deliveries run)
 
-let test_lamport_faster_than_token () =
+let test_skeen_faster_than_token () =
   let wl = workload ~senders:procs ~from_time:5.0 ~spacing:12.0 ~count:6 in
-  let lamport_run =
-    Lamport_to.run ~delta lamport_config ~workload:wl ~failures:[] ~until:400.0
-      ~seed:3
-  in
+  let skeen = skeen_run ~workload:wl ~failures:[] ~until:400.0 ~seed:3 in
   let vs_config = { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta } in
-  let to_config = To_service.make_config vs_config in
   let vstoto_run =
-    To_service.run to_config ~workload:wl ~failures:[] ~until:400.0 ~seed:3
+    To_service.run (To_service.make_config vs_config) ~workload:wl
+      ~failures:[] ~until:400.0 ~seed:3
   in
-  let mean_latency actions =
-    let sends = Hashtbl.create 64 in
-    let total = ref 0.0 and count = ref 0 in
-    List.iter
-      (fun (t, a) ->
-        match a with
-        | To_action.Bcast (p, v) -> Hashtbl.replace sends (p, v) t
-        | To_action.Brcv { src; value; _ } -> (
-            match Hashtbl.find_opt sends (src, value) with
-            | Some t0 ->
-                total := !total +. (t -. t0);
-                incr count
-            | None -> ())
-        | To_action.To_order _ -> ())
-      actions;
-    if !count = 0 then infinity else !total /. float_of_int !count
-  in
-  let lamport_latency = mean_latency (Timed.actions lamport_run.Lamport_to.trace) in
+  let skeen_latency = mean_latency (Timed.actions skeen.Skeen.trace) in
   let vstoto_latency =
     mean_latency (Timed.actions (To_service.client_trace vstoto_run))
   in
   Alcotest.(check bool)
-    (Printf.sprintf "lamport %.2f < vstoto %.2f" lamport_latency vstoto_latency)
+    (Printf.sprintf "skeen %.2f < vstoto %.2f" skeen_latency vstoto_latency)
     true
-    (lamport_latency < vstoto_latency)
+    (skeen_latency < vstoto_latency)
 
 (* ------------------------------ codec -------------------------------- *)
 
@@ -288,13 +282,13 @@ let () =
           Alcotest.test_case "vstoto survives sequencer partition" `Quick
             test_vstoto_survives_where_sequencer_stalls;
         ] );
-      ( "lamport",
+      ( "skeen",
         [
-          Alcotest.test_case "steady state" `Quick test_lamport_steady_state;
+          Alcotest.test_case "steady state" `Quick test_skeen_steady_state;
           Alcotest.test_case "stalls on any crash" `Quick
-            test_lamport_stalls_on_any_crash;
+            test_skeen_stalls_on_any_crash;
           Alcotest.test_case "faster than the token when stable" `Quick
-            test_lamport_faster_than_token;
+            test_skeen_faster_than_token;
         ] );
       ( "codec",
         List.map QCheck_alcotest.to_alcotest

@@ -1,5 +1,6 @@
 (* The differential fuzzing mode end to end: clean runs on every pair
-   find nothing (zero false positives), every planted divergence-only
+   find nothing (zero false positives), including the sim-vs-bus pair
+   every registered service gets for free, every planted divergence-only
    mutant is found and shrunk within CI budgets, and the fuzzy-hashed
    state-snapshot coverage is byte-deterministic — across job counts and
    across same-seed repeats, for every service and for the differential
@@ -17,23 +18,73 @@ let config = To_service.make_config vs_config
 
 (* ------------------------- clean pair smokes ------------------------- *)
 
-(* Budgets are per-pair: the bus-backed pairs cost real wall-clock per
-   execution, the simulated cross-protocol pairs are practically free. *)
-let clean_budget = function
-  | Differential.Sim_bus -> 10
-  | Differential.Skeen_bus -> 16
-  | Differential.Vstoto_skeen | Differential.Vstoto_sequencer -> 120
+(* Budgets follow the candidate's backend: a bus execution costs real
+   wall-clock time, a simulated pair is practically free. *)
+let clean_budget pair =
+  match pair.Differential.backend with
+  | Differential.Bus -> 16
+  | Differential.Sim -> 120
 
-let test_clean_pair pair () =
-  let outcome =
-    Fuzz.run ~pair ~jobs:2 ~config ~seed:3 ~execs:(clean_budget pair) ()
+let test_clean_pair ~execs pair () =
+  let outcome = Fuzz.run ~pair ~jobs:2 ~config ~seed:3 ~execs ()
   in
   match outcome.Fuzz.failure with
   | None -> ()
   | Some (input, f) ->
       Alcotest.failf "clean %s run failed %s:\n%s\n%s"
-        (Differential.name pair) f.Runner.check f.Runner.detail
+        pair.Differential.name f.Runner.check f.Runner.detail
         (Input.to_string input)
+
+(* ----------------------- seeded sim-vs-bus sweep ---------------------- *)
+
+(* The same seeded fault-free workload through the simulator and the bus
+   must yield identical per-node delivered orders. Each seed draws 12
+   submissions with random origins over 3 nodes; the verdict covers
+   completeness on both sides ("diff-incomplete"), and the reference
+   count pins it to all 36 deliveries, so a pass cannot come from two
+   equally empty runs. The default run is CI-sized; set GCS_SOAK_ITERS
+   to scale the sweep up. *)
+let soak_iters =
+  match Sys.getenv_opt "GCS_SOAK_ITERS" with
+  | Some s -> ( match int_of_string_opt s with Some k when k > 0 -> k | _ -> 1)
+  | None -> 1
+
+let sweep_pairs = 8 * soak_iters
+
+let run_seeded_pairs ?batch_window () =
+  let procs = Proc.all ~n:3 in
+  let config =
+    To_service.make_config { vs_config with Vs_node.procs; p0 = procs }
+  in
+  let execute =
+    Differential.execute ~config
+      (Differential.sim_bus ?batch_window Services.vstoto)
+  in
+  for i = 0 to sweep_pairs - 1 do
+    let seed = 1000 + (i * 131) in
+    let prng = Gcs_stdx.Prng.create seed in
+    let workload =
+      List.init 12 (fun k ->
+          (0.0, Gcs_stdx.Prng.pick_exn prng procs, Printf.sprintf "m%d" k))
+    in
+    let input = Input.normalize { Input.seed; steps = []; workload } in
+    let obs = execute input in
+    (match obs.Runner.verdict with
+    | None -> ()
+    | Some f ->
+        Alcotest.failf "sim-bus FAILING SEED %d: %s %s" seed f.Runner.check
+          f.Runner.detail);
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: sim delivered everything" seed)
+      36 obs.Runner.deliveries
+  done
+
+let test_seeded_pairs () = run_seeded_pairs ()
+
+(* The same sweep with submission batching on: each origin's workload
+   leaves as one batch, and sim and bus must still agree on every
+   per-node delivered order. *)
+let test_seeded_pairs_batched () = run_seeded_pairs ~batch_window:0.05 ()
 
 (* --------------------------- planted bugs ---------------------------- *)
 
@@ -81,7 +132,9 @@ let run_mode mode ~jobs ~seed =
   match mode with
   | `Service s -> Fuzz.run ~service:s ~jobs ~config ~seed ~execs:40 ()
   | `Diff ->
-      Fuzz.run ~pair:Differential.Vstoto_skeen ~jobs ~config ~seed ~execs:40 ()
+      Fuzz.run
+        ~pair:(Option.get (Differential.of_name "vstoto-skeen"))
+        ~jobs ~config ~seed ~execs:40 ()
 
 let mode_name = function
   | `Service s -> Gcs_conformance.Service.name s
@@ -118,9 +171,22 @@ let clean_cases =
   List.map
     (fun pair ->
       Alcotest.test_case
-        (Printf.sprintf "clean %s finds nothing" (Differential.name pair))
-        `Slow (test_clean_pair pair))
+        (Printf.sprintf "clean %s finds nothing" pair.Differential.name)
+        `Slow
+        (test_clean_pair ~execs:(clean_budget pair) pair))
     Differential.all
+
+(* Openness: every registered service gets a sim-vs-bus pair from its
+   registration alone — the sequencer too, which no named pair uses. *)
+let open_cases =
+  List.map
+    (fun service ->
+      let pair = Differential.sim_bus service in
+      Alcotest.test_case
+        (Printf.sprintf "%s clean from its registration" pair.Differential.name)
+        `Slow
+        (test_clean_pair ~execs:6 pair))
+    Services.all
 
 let mutant_cases =
   List.map
@@ -134,6 +200,16 @@ let () =
   Alcotest.run "diff-fuzz"
     [
       ("clean", clean_cases);
+      ( "no-fault workloads",
+        [
+          Alcotest.test_case
+            (Printf.sprintf "%d seeded pairs" sweep_pairs)
+            `Slow test_seeded_pairs;
+          Alcotest.test_case
+            (Printf.sprintf "%d seeded pairs (batched)" sweep_pairs)
+            `Slow test_seeded_pairs_batched;
+        ] );
+      ("open", open_cases);
       ("planted", mutant_cases);
       ( "state-hash determinism",
         List.map

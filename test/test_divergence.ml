@@ -104,21 +104,6 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-let test_json () =
-  Alcotest.(check string)
-    "agree renders null" "null"
-    (Divergence.to_json ~left_label:"sim" ~right_label:"bus" Divergence.Agree);
-  let v =
-    Divergence.compare_orders ~left:(orders trace_ab)
-      ~right:(orders trace_ab_swapped_at_2)
-  in
-  let json = Divergence.to_json ~left_label:"sim" ~right_label:"bus" v in
-  List.iter
-    (fun needle ->
-      if not (contains json needle) then
-        Alcotest.failf "json %s lacks %s" json needle)
-    [ {|"node":2|}; {|"index":0|}; {|"sim"|}; {|"bus"|} ]
-
 let test_describe_mentions_labels () =
   let v =
     Divergence.compare_orders ~left:(orders trace_ab)
@@ -143,7 +128,6 @@ let () =
           Alcotest.test_case "contents ignore order, catch src" `Quick
             test_contents_ignore_order;
           Alcotest.test_case "incompleteness counted" `Quick test_incomplete;
-          Alcotest.test_case "json rendering" `Quick test_json;
           Alcotest.test_case "describe carries labels" `Quick
             test_describe_mentions_labels;
         ] );

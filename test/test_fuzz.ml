@@ -102,6 +102,37 @@ let test_determinism_across_runs () =
     (Fuzz.stats_to_json (run ()))
     (Fuzz.stats_to_json (run ()))
 
+(* The run statistics and the progress snapshot are JSON that
+   [Gcs_stdx.Jsonx] parses back to the same figures. *)
+let test_json_parses_back () =
+  let dup = Option.get (Mutant.find "dup-delivery") in
+  let outcome =
+    Fuzz.run ~mutant:dup ~jobs:1 ~config ~seed:7 ~execs:200 ~shrink_budget:100 ()
+  in
+  let parse label json =
+    match Gcs_stdx.Jsonx.of_string json with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s does not parse (%s): %s" label e json
+  in
+  let num v key = Option.bind (Gcs_stdx.Jsonx.member key v) Gcs_stdx.Jsonx.to_float in
+  let stats = parse "stats" (Fuzz.stats_to_json outcome) in
+  Alcotest.(check (option (float 0.0)))
+    "stats execs"
+    (Some (float_of_int outcome.Fuzz.stats.Fuzz.execs))
+    (num stats "execs");
+  Alcotest.(check (option string))
+    "failure check" (Some "to-conformance")
+    (Option.bind
+       (Option.bind (Gcs_stdx.Jsonx.member "failure" stats)
+          (Gcs_stdx.Jsonx.member "check"))
+       Gcs_stdx.Jsonx.to_string);
+  let snap = parse "snapshot" (Fuzz.snapshot_to_json outcome.Fuzz.stats ~wall_s:1.25) in
+  Alcotest.(check (option (float 0.0)))
+    "snapshot features"
+    (Some (float_of_int outcome.Fuzz.stats.Fuzz.features))
+    (num snap "features");
+  Alcotest.(check (option (float 0.0))) "snapshot wall" (Some 1.25) (num snap "wall_s")
+
 (* A clean build must not self-accuse: with no mutant planted, a modest
    budget of fuzzing finds no failure. *)
 let test_no_false_positives () =
@@ -195,13 +226,20 @@ let test_wrong_service_refused () =
   refused "vstoto + skeen-commit-skew" (fun () ->
       Fuzz.run ~service:Services.vstoto ~mutant:skew ~jobs:1 ~config ~seed:7
         ~execs:20 ());
+  let pair name = Option.get (Differential.of_name name) in
   refused "skeen-bus + dup-delivery" (fun () ->
-      Fuzz.run ~pair:Differential.Skeen_bus ~mutant:dup ~jobs:1 ~config ~seed:7
+      Fuzz.run ~pair:(pair "skeen-bus") ~mutant:dup ~jobs:1 ~config ~seed:7
         ~execs:20 ());
   (* The replay path ([gcs fuzz --diff P --replay F]) refuses as soon as
      the pair is applied. *)
   refused "skeen-bus replay + dup-delivery" (fun () ->
-      Differential.execute ~mutant:dup ~config Differential.Skeen_bus)
+      Differential.execute ~mutant:dup ~config (pair "skeen-bus"));
+  (* A divergence-only mutant names its pair; a tamper has no service to
+     check, so the pair itself must match. *)
+  refused "sim-bus + skeen-swap-inputs" (fun () ->
+      Diff_mutant.check
+        (Option.get (Diff_mutant.find "skeen-swap-inputs"))
+        (pair "sim-bus"))
 
 (* ----------------------- shrinker soundness ------------------------- *)
 
@@ -302,6 +340,8 @@ let () =
             test_determinism_across_jobs;
           Alcotest.test_case "repeat runs equal" `Quick
             test_determinism_across_runs;
+          Alcotest.test_case "stats and snapshot JSON parse back" `Quick
+            test_json_parses_back;
           Alcotest.test_case "no false positives" `Quick
             test_no_false_positives;
           Alcotest.test_case "no false positives (batched)" `Quick

@@ -163,8 +163,8 @@ let handlers : (int, unit, packet, int) Engine.handlers =
   in
   { Engine.on_start; on_input; on_packet; on_timer }
 
-let run_pingpong ?(failures = []) ?(until = 52.0) ?(seed = 1) () =
-  Engine.run
+let run_pingpong ?stop ?(failures = []) ?(until = 52.0) ?(seed = 1) () =
+  Engine.run ?stop
     (Engine.default_config ~delta:1.0)
     ~procs:[ 0; 1 ] ~handlers
     ~init:(fun _ -> 0)
@@ -179,6 +179,25 @@ let test_pingpong_good () =
   (* Ten pings in 52 time units; all complete within 2 deltas. *)
   Alcotest.(check (list int)) "all rounds complete in order"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (pongs result)
+
+(* [stop] ends the run at the first event after which it holds, counting
+   outputs only (a status event is in the trace but is not an output):
+   the stopped trace is a prefix of the run to the horizon. *)
+let test_stop_ends_a_prefix () =
+  let failures = [ (2.0, Fstatus.Link_status (1, 0, Fstatus.Good)) ] in
+  let full = run_pingpong ~failures () in
+  let stopped =
+    run_pingpong ~failures ~stop:(fun ~now:_ ~outputs -> outputs >= 3) ()
+  in
+  Alcotest.(check (list int)) "three rounds" [ 0; 1; 2 ] (pongs stopped);
+  let rec prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a, y :: b -> x = y && prefix a b
+    | _ :: _, [] -> false
+  in
+  Alcotest.(check bool) "prefix of the full trace" true
+    (prefix stopped.Engine.trace full.Engine.trace)
 
 let test_bad_link_drops () =
   let failures = [ (12.0, Fstatus.Link_status (0, 1, Fstatus.Bad)) ] in
@@ -514,6 +533,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "good network ping-pong" `Quick test_pingpong_good;
+          Alcotest.test_case "stop ends a prefix" `Quick test_stop_ends_a_prefix;
           Alcotest.test_case "bad link drops" `Quick test_bad_link_drops;
           Alcotest.test_case "bad processor holds and replays" `Quick
             test_bad_processor_holds_and_replays;
