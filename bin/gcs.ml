@@ -16,8 +16,7 @@
                    transport and check replica consistency
      gcs load    — open-loop load generator: fixed-rate submissions on
                    either backend, reporting wall-clock client throughput
-     gcs diff    — differential transport check: identical workloads on
-                   sim and bus must deliver in identical orders *)
+                   and bcast→brcv latency quantiles *)
 
 open Cmdliner
 open Gcs_core
@@ -1456,9 +1455,21 @@ let load_cmd =
         ~backend:backend_impl config ~workload ~failures:[] ~until ~seed
     in
     let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
-    let _, deliveries =
-      Gcs_conformance.Service.tally (S.client_trace run.Gcs_transport.Iface.trace)
+    let client_trace = S.client_trace run.Gcs_transport.Iface.trace in
+    let _, deliveries = Gcs_conformance.Service.tally client_trace in
+    (* bcast→brcv latency in the run's clock: model time units on the
+       simulator, seconds on the bus. *)
+    let latency_p50, latency_p99 =
+      let observed = ref [] in
+      To_service.iter_latencies
+        (fun l -> observed := l :: !observed)
+        client_trace;
+      let sorted = Array.of_list !observed in
+      Array.sort Float.compare sorted;
+      ( Gcs_stdx.Metrics.nearest_rank sorted 0.5,
+        Gcs_stdx.Metrics.nearest_rank sorted 0.99 )
     in
+    let latency_unit = match transport with `Sim -> "sim" | `Bus -> "s" in
     let expected = n * total in
     let client_rate = float_of_int deliveries /. wall in
     let batches, batch_mean, batch_max =
@@ -1491,6 +1502,9 @@ let load_cmd =
                 ("expected_deliveries", int expected);
                 ("wall_s", num wall);
                 ("client_msgs_per_s", num client_rate);
+                ("latency_p50", num latency_p50);
+                ("latency_p99", num latency_p99);
+                ("latency_unit", Gcs_stdx.Jsonx.Str latency_unit);
                 ("packets_sent", int packets);
                 ("gpsnd_batches", int batches);
                 ("batch_mean", num batch_mean);
@@ -1512,6 +1526,8 @@ let load_cmd =
         "  %d submitted, %d/%d deliveries in %.2f wall s  ->  %.0f client \
          msgs/sec\n"
         total deliveries expected wall client_rate;
+      Printf.printf "  bcast->brcv latency p50 %.4g, p99 %.4g (%s)\n"
+        latency_p50 latency_p99 latency_unit;
       if batches > 0 || tokens > 0 then
         Printf.printf
           "  %d packets, %d gpsnd batches (mean %.1f, max %.0f), %d tokens \
@@ -1569,7 +1585,8 @@ let load_cmd =
        ~doc:
          "Open-loop load generator: fixed-rate client submissions through \
           any total-order service on the sim or bus backend, reporting \
-          wall-clock client throughput, batch sizes and tokens launched.")
+          wall-clock client throughput, p50/p99 bcast→brcv latency, batch \
+          sizes and tokens launched.")
     Term.(
       ret
         (const run $ backend_arg $ n_arg $ count_arg $ rate_arg $ window_arg

@@ -177,16 +177,41 @@ let absorb_vs_effects ?metrics config me (node, effects) =
   in
   go node [] effects
 
+(* Whether the token has collected every earlier send of this node, so a
+   value can leave at once. Token pacing applies to pure batching only: a
+   stable-storage write still holds each value for its full latency. *)
+let token_caught_up config node =
+  Option.is_none config.stable_storage_latency
+  && Vs_node.uncollected node.vs_state = 0
+
+(* Close the batch once a token visit has collected the node's last send:
+   everything staged leaves as one batch and the flush timer is cancelled.
+   The window only bounds how long a value waits for that visit. *)
+let close_batch ?metrics config me (node, effects) =
+  if Gcs_stdx.Tape.is_empty node.staging || not (token_caught_up config node)
+  then (node, effects)
+  else
+    let values = List.map snd (Gcs_stdx.Tape.to_list node.staging) in
+    let node, submitted =
+      submit_batch ?metrics config (node_params config me) values
+        { node with staging = Gcs_stdx.Tape.empty () }
+    in
+    (node, effects @ (Engine.Cancel_timer { id = timer_flush } :: submitted))
+
 let lift_vs ?metrics config me f node =
   let vs_state', effects = f node.vs_state in
   absorb_vs_effects ?metrics config me
     ({ node with vs_state = vs_state' }, effects)
+  |> close_batch ?metrics config me
 
 let handlers ?metrics config =
-  (* With a batch window, every node's initial flush happens at ~window
-     on any clock; pushing the leader's first token launch past it (3x
-     margin) makes the first rotation's pickup order — leader's batch,
-     then followers' in ring order — backend-independent. See
+  (* With a batch window, each node's first value leaves at once and the
+     values after it are staged. No token collects that first send before
+     the leader's first launch, so staging closes when the window does, at
+     ~window on any clock. Pushing the first launch past it (3x margin)
+     puts every node's opening sends in its outbuf before any token
+     collects, so the first rotation's pickup order — leader's sends, then
+     followers' in ring order — is backend-independent. See
      [Vs_node.handlers]. *)
   let first_launch_delay =
     Option.map (fun w -> 3.0 *. w) config.batch_window
@@ -197,12 +222,20 @@ let handlers ?metrics config =
   in
   let on_input me ~now value node =
     let record = Engine.Output (Client (To_action.Bcast (me, value))) in
+    let submit_now node =
+      let node, effects =
+        submit_batch ?metrics config (node_params config me) [ value ] node
+      in
+      (node, record :: effects)
+    in
     match submit_delay config with
-    | None ->
-        let node, effects =
-          submit_batch ?metrics config (node_params config me) [ value ] node
-        in
-        (node, record :: effects)
+    | None -> submit_now node
+    | Some _
+      when Gcs_stdx.Tape.is_empty node.staging && token_caught_up config node
+      ->
+        (* Nagle-style: nothing staged and nothing of ours uncollected, so
+           the next token visit carries this value; waiting adds delay. *)
+        submit_now node
     | Some delay ->
         (* Arm the flush timer only on the empty→nonempty transition: the
            invariant is that the timer is pending iff staging is nonempty,
@@ -299,29 +332,34 @@ let node_views_installed node = Vs_node.views_installed node.vs_state
 
 let node_staging node = Gcs_stdx.Tape.to_list node.staging
 
+let iter_latencies f trace =
+  let born = Hashtbl.create 64 in
+  List.iter
+    (fun { Timed.time; item } ->
+      match item with
+      | Timed.Action (To_action.Bcast (_, value)) ->
+          if not (Hashtbl.mem born value) then Hashtbl.add born value time
+      | Timed.Action (To_action.Brcv { value; _ }) ->
+          Option.iter (fun t0 -> f (time -. t0)) (Hashtbl.find_opt born value)
+      | Timed.Action (To_action.To_order _) | Timed.Status _ -> ())
+    trace
+
 (* Walk the client trace after the run and fill in the TO-level metrics:
-   bcast/brcv counts and the per-delivery bcastâbrcv latency histogram.
+   bcast/brcv counts and the per-delivery bcast→brcv latency histogram.
    Post-run is simpler than instrumenting the drain path (which has no
    [now] in scope) and equally deterministic: the trace is already in
    time order. *)
 let record_to_metrics metrics trace =
-  let bcast_time = Hashtbl.create 64 in
   List.iter
-    (fun (time, action) ->
-      match action with
-      | To_action.Bcast (_, value) ->
-          Gcs_stdx.Metrics.incr metrics "to.bcasts";
-          if not (Hashtbl.mem bcast_time value) then
-            Hashtbl.add bcast_time value time
-      | To_action.Brcv { value; _ } -> (
-          Gcs_stdx.Metrics.incr metrics "to.deliveries";
-          match Hashtbl.find_opt bcast_time value with
-          | Some t0 ->
-              Gcs_stdx.Metrics.observe metrics "to.bcast_brcv_latency"
-                (time -. t0)
-          | None -> ())
-      | _ -> ())
-    (Timed.actions trace)
+    (fun { Timed.item; _ } ->
+      match item with
+      | Timed.Action (To_action.Bcast _) ->
+          Gcs_stdx.Metrics.incr metrics "to.bcasts"
+      | Timed.Action (To_action.Brcv _) ->
+          Gcs_stdx.Metrics.incr metrics "to.deliveries"
+      | Timed.Action (To_action.To_order _) | Timed.Status _ -> ())
+    trace;
+  iter_latencies (Gcs_stdx.Metrics.observe metrics "to.bcast_brcv_latency") trace
 
 let client_trace_of trace =
   Timed.map (function Client a -> Some a | Vs_layer _ -> None) trace

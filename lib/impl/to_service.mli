@@ -24,12 +24,18 @@ open Gcs_core
 
     Throughput engineering (DESIGN.md):
     {ul
-    {- [batch_window]: client submissions are staged for a short window
-       and handed to the automaton together, so the whole backlog goes
-       out as a single {!Msg.Batch} [gpsnd] — one wire frame and one
-       token-ring entry per batch instead of per value. [None] submits
-       immediately (one [App] per value), preserving the PR 6
-       behaviour.}
+    {- [batch_window]: batching in the manner of Nagle's algorithm,
+       with the token closing the batch. A client value is handed to
+       the automaton at once while nothing is staged and a token visit
+       has collected every earlier send of this node; otherwise it is
+       staged. Staged values go out together as a single {!Msg.Batch}
+       [gpsnd] — one wire frame and one token-ring entry per batch
+       instead of per value — as soon as a token visit collects the
+       node's last send, and the flush timer is cancelled. The window
+       bounds how long a value stays staged when no token comes. With a
+       [stable_storage_latency] every value is staged for the write (and
+       window) regardless. [None] submits immediately (one [App] per
+       value).}
     {- [pipeline]: run the VStoTO automata with [Vstoto.params.pipeline],
        overlapping the post-view-change state exchange with labelling and
        delivery.}} *)
@@ -97,8 +103,8 @@ type run = {
   events_processed : int;
   metrics : Gcs_stdx.Metrics.t;
       (** the registry passed to {!run} (or a fresh one) with [engine.*],
-          [vs.*] and [to.*] sections filled in â including the
-          per-delivery bcastâbrcv latency histogram
+          [vs.*] and [to.*] sections filled in — including the
+          per-delivery bcast→brcv latency histogram
           [to.bcast_brcv_latency] *)
 }
 
@@ -136,6 +142,13 @@ val run_on :
 
 val client_trace : run -> Value.t To_action.t Timed.t
 (** The TO-level timed trace (with failure events), for TO-property. *)
+
+val iter_latencies : (float -> unit) -> Value.t To_action.t Timed.t -> unit
+(** Apply the function to the bcast→brcv latency of every delivery in a
+    client trace of any total-order service, in trace order and in the
+    run's clock units (model time on the simulator, seconds on the bus),
+    measured from the value's first bcast. The [to.bcast_brcv_latency]
+    histogram records the same values. *)
 
 val vs_trace : run -> Msg.t Vs_action.t Timed.t
 

@@ -70,6 +70,7 @@ let initial config me =
 
 let current_view state = state.current
 let views_installed state = state.installs
+let uncollected state = Gcs_stdx.Tape.length state.outbuf - state.taken
 
 let stored_token_entries state =
   Option.map (fun t -> List.length t.Wire.entries) state.stored_token
@@ -439,9 +440,11 @@ let on_start ?metrics ?first_launch_delay config me state =
         | Some delay when delay > 0.0 ->
             (* Defer the very first launch (instead of launching inside
                [on_start]): layers that stage client submissions — the TO
-               service's batch window — use this so every node's initial
-               flush lands in its outbuf before any token can collect it,
-               making the first rotation's pickup order clock-independent.
+               service's batch window — use this so every node's opening
+               sends (its first value, sent at once, and the batch the
+               window closes after it) land in its outbuf before any token
+               can collect them, making the first rotation's pickup order
+               clock-independent.
                Subsequent launches (relaunches, heartbeats, view
                installs) are unaffected. *)
             (state, [ probe; rearm; Engine.Set_timer { id = timer_launch; delay } ])
@@ -456,7 +459,7 @@ let on_input _config me ~now:_ msg state =
   match state.current with
   | None -> (state, [ out ])
   | Some view ->
-      let first = Gcs_stdx.Tape.length state.outbuf = state.taken in
+      let first = uncollected state = 0 in
       let state = { state with outbuf = Gcs_stdx.Tape.snoc state.outbuf msg } in
       let leader = leader_of view in
       if not first then (state, [ out ])

@@ -62,9 +62,9 @@ val handlers :
 
     [first_launch_delay]: defer the leader's {e first} token launch by
     that long instead of launching at [on_start]. Layers that stage
-    client submissions (the TO service's batch window) set it past their
-    initial flush, so whether the leader's own first batch boards the
-    first rotation no longer depends on the backend's clock; launches
+    client submissions (the TO service's batch window) set it past the
+    first window flush, so whether a node's opening sends board the
+    first rotation does not depend on the backend's clock; launches
     after view installs are unaffected. A [Want] that reaches the leader
     before that first launch is absorbed by it: the launch collects the
     message anyway, and its time does not move. Later launches follow the
@@ -93,6 +93,15 @@ val ring_successor : View.t -> Proc.t -> Proc.t
 val current_view : 'm state -> View.t option
 val views_installed : 'm state -> int
 (** Number of [newview] events at this node (view-churn metric). *)
+
+val uncollected : 'm state -> int
+(** Client sends of the current view that no token visit has collected
+    yet: the outbuf past its length at the last visit. The TO service
+    closes a batch when this is 0: a token has carried the node's
+    previous send, so holding the next values back only adds delay.
+    Until the leader's deferred first launch ([first_launch_delay])
+    nothing is collected, so each node's first send stays uncollected
+    and the values after it wait out the batch window. *)
 
 val stored_token_entries : 'm state -> int option
 (** Number of entries in the absorbed token at the leader ([None] at

@@ -100,6 +100,15 @@ let observe ?buckets t name v =
   h.sum <- h.sum +. v;
   if v > h.max then h.max <- v
 
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else
+    (* The tolerance keeps a product such as 0.07 *. 100. from rounding
+       up past the exact rank. *)
+    let rank = int_of_float (Float.ceil ((q *. float_of_int n) -. 1e-9)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 let histogram t name =
   match Hashtbl.find_opt t.table name with
   | Some (Histogram h) ->

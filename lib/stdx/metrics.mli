@@ -43,6 +43,12 @@ val histogram : t -> string -> ((float * int) list * int * float * float) option
 (** [(bucket upper bound, count) list including the +inf overflow bucket,
     observation count, sum, max)]. *)
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank sorted q] is the nearest-rank [q]-quantile of an
+    ascending array: its [⌈q·n⌉]-th smallest element (the smallest for
+    [q <= 1/n], the largest for [q >= 1]), so it is always a recorded
+    value. [nan] on an empty array. *)
+
 (** {2 Snapshots} *)
 
 val pp : Format.formatter -> t -> unit

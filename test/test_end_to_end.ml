@@ -317,6 +317,80 @@ let test_batching_timer_invariant () =
   Alcotest.(check int) "nothing re-armed afterwards" 0
     (List.length (set_timers effects))
 
+let test_token_closes_batch () =
+  (* Drive the TO-service handlers directly and pin the flush rule of
+     pure batching (no stable storage): a value goes out at once while
+     the token has collected all of this node's earlier sends; otherwise
+     it is staged, and the token visit that collects the node's last
+     send flushes staging as one batch and cancels the timer. The window
+     only bounds the wait when no token comes. *)
+  let b_config = To_service.make_config ~batch_window:2.0 vs_config in
+  let h = To_service.handlers b_config in
+  let leader = List.hd procs and me = List.nth procs 1 in
+  let set_timers effects =
+    List.filter_map
+      (function Gcs_sim.Engine.Set_timer { id; _ } -> Some id | _ -> None)
+      effects
+  in
+  let cancelled effects =
+    List.filter_map
+      (function Gcs_sim.Engine.Cancel_timer { id } -> Some id | _ -> None)
+      effects
+  in
+  let gpsnds effects =
+    List.filter_map
+      (function
+        | Gcs_sim.Engine.Output
+            (To_service.Vs_layer (Vs_action.Gpsnd { msg; _ })) ->
+            Some msg
+        | _ -> None)
+      effects
+  in
+  let staged node = List.length (To_service.node_staging node) in
+  let node = To_service.initial b_config me in
+  (* Nothing uncollected: straight out, no timer, nothing staged. *)
+  let node, effects = h.Gcs_sim.Engine.on_input me ~now:1.0 "a" node in
+  Alcotest.(check int) "first value sent at once" 1
+    (List.length (gpsnds effects));
+  Alcotest.(check (list int)) "no flush timer for it" [] (set_timers effects);
+  Alcotest.(check int) "nothing staged" 0 (staged node);
+  (* "a" is not yet collected: later values wait, the timer armed once. *)
+  let node, effects = h.Gcs_sim.Engine.on_input me ~now:1.1 "b" node in
+  Alcotest.(check int) "no gpsnd while the last send is uncollected" 0
+    (List.length (gpsnds effects));
+  let flush_id =
+    match set_timers effects with
+    | [ id ] -> id
+    | l -> Alcotest.failf "first staged value armed %d timers" (List.length l)
+  in
+  let node, effects = h.Gcs_sim.Engine.on_input me ~now:1.2 "c" node in
+  Alcotest.(check (list int)) "not re-armed" [] (set_timers effects);
+  Alcotest.(check int) "two values staged" 2 (staged node);
+  (* The token visit that collects "a" closes the batch. *)
+  let viewid = (View.initial procs).View.id in
+  let node, effects =
+    h.Gcs_sim.Engine.on_packet me ~now:1.5 ~src:leader
+      (Wire.Token (Wire.fresh_token viewid))
+      node
+  in
+  (match gpsnds effects with
+  | [ Msg.Batch entries ] ->
+      Alcotest.(check (list string)) "staged values in one batch"
+        [ "b"; "c" ] (List.map snd entries)
+  | l -> Alcotest.failf "expected one batch gpsnd, got %d gpsnds" (List.length l));
+  Alcotest.(check (list int)) "flush timer cancelled" [ flush_id ]
+    (cancelled effects);
+  Alcotest.(check int) "staging empty" 0 (staged node);
+  (* No token comes for the batch: the window still flushes. *)
+  let node, effects = h.Gcs_sim.Engine.on_input me ~now:2.0 "d" node in
+  Alcotest.(check int) "staged behind the uncollected batch" 1 (staged node);
+  Alcotest.(check (list int)) "timer armed again" [ flush_id ]
+    (set_timers effects);
+  let node, effects = h.Gcs_sim.Engine.on_timer me ~now:4.0 ~id:flush_id node in
+  Alcotest.(check int) "window flush sends it" 1
+    (List.length (gpsnds effects));
+  Alcotest.(check int) "staging drained by the window" 0 (staged node)
+
 let test_submit_during_view_change () =
   (* Regression: values staged when a Newview lands must be flushed into
      the new view, not stranded. A steady submission stream across a
@@ -487,6 +561,8 @@ let () =
             test_batching_variant;
           Alcotest.test_case "flush timer invariant" `Quick
             test_batching_timer_invariant;
+          Alcotest.test_case "token visit closes the batch" `Quick
+            test_token_closes_batch;
           Alcotest.test_case "submit during view change" `Quick
             test_submit_during_view_change;
         ] );

@@ -302,6 +302,22 @@ let test_metrics_histogram () =
         [ (1.0, 2); (10.0, 1); (infinity, 1) ]
         buckets
 
+let test_metrics_nearest_rank () =
+  let q = Gcs_stdx.Metrics.nearest_rank in
+  let hundred = Array.init 100 (fun i -> float_of_int (i + 1)) in
+  Alcotest.(check (float 0.0)) "p50 of 1..100" 50.0 (q hundred 0.5);
+  Alcotest.(check (float 0.0)) "p99 of 1..100" 99.0 (q hundred 0.99);
+  Alcotest.(check (float 0.0)) "p7 of 1..100 (no float round-up)" 7.0
+    (q hundred 0.07);
+  Alcotest.(check (float 0.0)) "p100 is the max" 100.0 (q hundred 1.0);
+  Alcotest.(check (float 0.0)) "p0 is the min" 1.0 (q hundred 0.0);
+  Alcotest.(check (float 0.0)) "p50 of four rounds down" 2.0
+    (q [| 1.0; 2.0; 3.0; 4.0 |] 0.5);
+  Alcotest.(check (float 0.0)) "p99 of four is the max" 4.0
+    (q [| 1.0; 2.0; 3.0; 4.0 |] 0.99);
+  Alcotest.(check (float 0.0)) "singleton" 3.5 (q [| 3.5 |] 0.5);
+  Alcotest.(check bool) "empty is nan" true (Float.is_nan (q [||] 0.5))
+
 let test_metrics_kind_clash () =
   let m = Gcs_stdx.Metrics.create () in
   Gcs_stdx.Metrics.incr m "x";
@@ -486,6 +502,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "gauges" `Quick test_metrics_gauges;
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
+          Alcotest.test_case "nearest-rank quantile" `Quick
+            test_metrics_nearest_rank;
           Alcotest.test_case "kind clash" `Quick test_metrics_kind_clash;
           Alcotest.test_case "deterministic JSON snapshot" `Quick
             test_metrics_json_deterministic;
