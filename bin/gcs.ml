@@ -269,10 +269,13 @@ let until_opt_arg =
            slack, the shortest horizon at which the delivery bound is \
            enforceable).")
 
+module Harness = Gcs_nemesis.Harness
+module Scenario = Gcs_nemesis.Scenario
+
 let resolve_scenario ~procs ~events ~seed = function
   | None -> Gcs_nemesis.Gen.scenario ~procs ~events ~seed ()
   | Some name -> (
-      match Gcs_nemesis.Scenario.find_builtin ~procs name with
+      match Scenario.find_builtin ~procs name with
       | Some s -> s
       | None ->
           Printf.eprintf
@@ -281,6 +284,56 @@ let resolve_scenario ~procs ~events ~seed = function
 
 (* ------------------------------ nemesis ----------------------------- *)
 
+(* The [gcs nemesis] command line that reruns one schedule on its own: a
+   built-in by name, a generated schedule by its seed and fault count. *)
+let reproduce ~procs ~n ~delta ~pi ~mu ~until ~events (o : Harness.outcome) =
+  let name = o.Harness.scenario.Scenario.name in
+  Printf.sprintf
+    "reproduce with: gcs nemesis%s --seed %d -n %d --delta %g --pi %g --mu %g%s"
+    (if Option.is_some (Scenario.find_builtin ~procs name) then " " ^ name
+     else Printf.sprintf " --events %d" events)
+    o.Harness.seed n delta pi mu
+    (match until with None -> "" | Some u -> Printf.sprintf " --until %g" u)
+
+(* A sweep of nemesis schedules, given as (seed, events, scenario): one
+   [Harness.run] each on a pool of [jobs] domains, outcomes in schedule
+   order and bit-identical at any job count. With [json], one JSON object
+   per line and nothing else; otherwise a line per schedule, then the
+   full outcome, the metrics and the reproduce command of every failure,
+   and a summary. Exits 1 if any schedule fails. *)
+let sweep ~config ~until ~jobs ~json ~metrics ~reproduce schedules =
+  (* Wall clock measures pool throughput only; the simulation itself
+     runs on virtual time and is untouched by it. *)
+  let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
+  let outcomes =
+    Gcs_stdx.Pool.map ~jobs
+      (fun (seed, events, scenario) ->
+        (events, Harness.run ~config ?until ~seed scenario))
+      schedules
+  in
+  let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
+  let failed = List.filter (fun (_, o) -> not (Harness.passed o)) outcomes in
+  if json then
+    List.iter
+      (fun (_, o) ->
+        print_endline
+          (if metrics then Harness.to_json_with_metrics o else Harness.to_json o))
+      outcomes
+  else begin
+    List.iter (fun (_, o) -> Format.printf "%a@." Harness.pp_line o) outcomes;
+    List.iter
+      (fun (events, o) ->
+        Format.printf "%a@." Harness.pp o;
+        Printf.printf "FAILING SEED %d metrics: %s\n" o.Harness.seed
+          (Gcs_stdx.Metrics.to_json o.Harness.metrics);
+        print_endline (reproduce ~events o))
+      failed;
+    Printf.printf "%d/%d schedules passed in %.2fs (jobs=%d)\n"
+      (List.length outcomes - List.length failed)
+      (List.length outcomes) wall jobs
+  end;
+  if failed <> [] then exit 1
+
 let nemesis_cmd =
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List built-in scenarios.")
@@ -288,7 +341,8 @@ let nemesis_cmd =
   let json_arg =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Print the outcome as a single JSON object.")
+      & info [ "json" ]
+          ~doc:"Print each outcome as one JSON object on a line of its own.")
   in
   let metrics_arg =
     Arg.(
@@ -312,93 +366,36 @@ let nemesis_cmd =
     let vs_config = mk_config n delta pi mu in
     let config = To_service.make_config vs_config in
     let procs = vs_config.Vs_node.procs in
+    let until = if until < 0.0 then None else Some until in
+    let reproduce = reproduce ~procs ~n ~delta ~pi ~mu ~until in
+    let schedule seed =
+      (seed, events, resolve_scenario ~procs ~events ~seed scenario)
+    in
     if list then
       List.iter
         (fun (name, scenario) ->
           Printf.printf "%-20s %2d steps, stabilizes at t=%.1f\n" name
-            (List.length scenario.Gcs_nemesis.Scenario.steps)
-            (Gcs_nemesis.Scenario.stabilization_time scenario))
-        (Gcs_nemesis.Scenario.builtins ~procs)
+            (List.length scenario.Scenario.steps)
+            (Scenario.stabilization_time scenario))
+        (Scenario.builtins ~procs)
+    else if count > 1 then
+      sweep ~config ~until ~jobs:(resolve_jobs jobs) ~json ~metrics ~reproduce
+        (List.init count (fun i -> schedule (seed + i)))
     else begin
-      let until = if until < 0.0 then None else Some until in
-      let builtin =
-        Option.map
-          (fun name -> resolve_scenario ~procs ~events ~seed (Some name))
-          scenario
-      in
-      if count <= 1 then begin
-        let scenario =
-          match builtin with
-          | Some s -> s
-          | None -> Gcs_nemesis.Gen.scenario ~procs ~events ~seed ()
-        in
-        let outcome = Gcs_nemesis.Harness.run ~config ?until ~seed scenario in
-        if json then
-          print_endline
-            (if metrics then Gcs_nemesis.Harness.to_json_with_metrics outcome
-             else Gcs_nemesis.Harness.to_json outcome)
-        else begin
-          Format.printf "%a@." Gcs_nemesis.Scenario.pp scenario;
-          Format.printf "%a@." Gcs_nemesis.Harness.pp outcome;
-          if metrics then
-            Format.printf "%a@." Gcs_stdx.Metrics.pp
-              outcome.Gcs_nemesis.Harness.metrics;
-          Printf.printf "reproduce with: gcs nemesis%s --seed %d -n %d\n"
-            (match scenario.Gcs_nemesis.Scenario.name with
-            | name
-              when Option.is_some
-                     (Gcs_nemesis.Scenario.find_builtin ~procs name) ->
-                " " ^ name
-            | _ -> "")
-            seed n
-        end;
-        if not (Gcs_nemesis.Harness.passed outcome) then exit 1
-      end
+      let _, _, scenario = schedule seed in
+      let outcome = Harness.run ~config ?until ~seed scenario in
+      if json then
+        print_endline
+          (if metrics then Harness.to_json_with_metrics outcome
+           else Harness.to_json outcome)
       else begin
-        let jobs = resolve_jobs jobs in
-        let seeds = List.init count (fun i -> seed + i) in
-        let outcomes =
-          match builtin with
-          | Some s ->
-              Gcs_stdx.Pool.map ~jobs
-                (fun seed -> Gcs_nemesis.Harness.run ~config ?until ~seed s)
-                seeds
-          | None ->
-              Gcs_nemesis.Harness.run_batch ~jobs ~config ?until ~events ~seeds
-                ()
-        in
-        let failed =
-          List.filter (fun o -> not (Gcs_nemesis.Harness.passed o)) outcomes
-        in
-        if json then
-          List.iter
-            (fun o ->
-              print_endline
-                (if metrics then Gcs_nemesis.Harness.to_json_with_metrics o
-                 else Gcs_nemesis.Harness.to_json o))
-            outcomes
-        else begin
-          List.iter
-            (fun o ->
-              Printf.printf "seed %6d  %-20s %5d deliveries  %s\n"
-                o.Gcs_nemesis.Harness.seed
-                o.Gcs_nemesis.Harness.scenario.Gcs_nemesis.Scenario.name
-                o.Gcs_nemesis.Harness.deliveries
-                (if Gcs_nemesis.Harness.passed o then "PASS" else "FAIL"))
-            outcomes;
-          List.iter
-            (fun o ->
-              Format.printf "%a@." Gcs_nemesis.Harness.pp o;
-              Printf.printf "FAILING SEED %d metrics: %s\n"
-                o.Gcs_nemesis.Harness.seed
-                (Gcs_stdx.Metrics.to_json o.Gcs_nemesis.Harness.metrics))
-            failed;
-          Printf.printf "%d/%d schedules passed (jobs=%d)\n"
-            (List.length outcomes - List.length failed)
-            (List.length outcomes) jobs
-        end;
-        if failed <> [] then exit 1
-      end
+        Format.printf "%a@." Scenario.pp scenario;
+        Format.printf "%a@." Harness.pp outcome;
+        if metrics then
+          Format.printf "%a@." Gcs_stdx.Metrics.pp outcome.Harness.metrics;
+        print_endline (reproduce ~events outcome)
+      end;
+      if not (Harness.passed outcome) then exit 1
     end
   in
   Cmd.v
@@ -406,8 +403,9 @@ let nemesis_cmd =
        ~doc:
          "Run the fault-injection harness: a built-in scenario or a \
           seed-reproducible random schedule through the end-to-end TO \
-          service, checked against both trace checkers and the \
-          post-stabilization delivery bound (Theorem 7.2).")
+          service, judged by its whole oracle chain: both trace checkers, \
+          the post-stabilization delivery bound (Theorem 7.2), batch view \
+          boundaries and the node invariants.")
     Term.(
       const run $ n_arg $ delta_arg $ pi_arg $ mu_arg $ seed_arg
       $ scenario_pos_arg $ list_arg $ json_arg $ metrics_arg $ events_arg
@@ -433,50 +431,21 @@ let soak_cmd =
     let vs_config = mk_config n delta pi mu in
     let config = To_service.make_config vs_config in
     let procs = vs_config.Vs_node.procs in
-    let jobs = resolve_jobs jobs in
-    (* Wall clock measures pool throughput only; the simulation itself
-       runs on virtual time and is untouched by it. *)
-    let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
-    let outcomes =
-      Gcs_stdx.Pool.map ~jobs
-        (fun i ->
-          let seed = seed + (i * 97) in
-          let events = if events > 0 then events else 8 + (i mod 5) in
-          let scenario = Gcs_nemesis.Gen.scenario ~procs ~events ~seed () in
-          Gcs_nemesis.Harness.run ~config ~seed scenario)
-        (List.init iters (fun i -> i))
-    in
-    let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
-    let failed =
-      List.filter (fun o -> not (Gcs_nemesis.Harness.passed o)) outcomes
-    in
-    List.iter
-      (fun o ->
-        Printf.printf "seed %6d  %-20s %5d deliveries  %s\n"
-          o.Gcs_nemesis.Harness.seed
-          o.Gcs_nemesis.Harness.scenario.Gcs_nemesis.Scenario.name
-          o.Gcs_nemesis.Harness.deliveries
-          (if Gcs_nemesis.Harness.passed o then "PASS" else "FAIL"))
-      outcomes;
-    List.iter
-      (fun o ->
-        Format.printf "%a@." Gcs_nemesis.Harness.pp o;
-        Printf.printf "FAILING SEED %d metrics: %s\n"
-          o.Gcs_nemesis.Harness.seed
-          (Gcs_stdx.Metrics.to_json o.Gcs_nemesis.Harness.metrics))
-      failed;
-    Printf.printf "%d/%d schedules passed in %.2fs (jobs=%d)\n"
-      (iters - List.length failed)
-      iters wall jobs;
-    if failed <> [] then exit 1
+    sweep ~config ~until:None ~jobs:(resolve_jobs jobs) ~json:false
+      ~metrics:false
+      ~reproduce:(reproduce ~procs ~n ~delta ~pi ~mu ~until:None)
+      (List.init iters (fun i ->
+           let seed = seed + (i * 97) in
+           let events = if events > 0 then events else 8 + (i mod 5) in
+           (seed, events, Gcs_nemesis.Gen.scenario ~procs ~events ~seed ())))
   in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
          "Soak the end-to-end TO service: a batch of seed-reproducible random \
           nemesis schedules fanned out over a pool of worker domains, each \
-          checked against both trace checkers and the Theorem 7.2 delivery \
-          bound. Exits 1 if any schedule fails.")
+          judged like one $(b,gcs nemesis) run. Exits 1 if any schedule \
+          fails.")
     Term.(
       const run $ n_arg $ delta_arg $ pi_arg $ mu_arg $ seed_arg $ iters_arg
       $ soak_events_arg $ jobs_arg)
@@ -495,16 +464,16 @@ let metrics_cmd =
     let procs = vs_config.Vs_node.procs in
     let until = if until < 0.0 then None else Some until in
     let scenario = resolve_scenario ~procs ~events ~seed scenario in
-    let outcome = Gcs_nemesis.Harness.run ~config ?until ~seed scenario in
+    let outcome = Harness.run ~config ?until ~seed scenario in
     if json then
       print_endline
-        (Gcs_stdx.Metrics.to_json outcome.Gcs_nemesis.Harness.metrics)
+        (Gcs_stdx.Metrics.to_json outcome.Harness.metrics)
     else begin
       Printf.printf "scenario %s (seed %d), simulated until t=%.1f\n"
-        outcome.Gcs_nemesis.Harness.scenario.Gcs_nemesis.Scenario.name seed
-        outcome.Gcs_nemesis.Harness.until;
+        outcome.Harness.scenario.Scenario.name seed
+        outcome.Harness.until;
       Format.printf "%a@." Gcs_stdx.Metrics.pp
-        outcome.Gcs_nemesis.Harness.metrics
+        outcome.Harness.metrics
     end
   in
   Cmd.v
@@ -533,18 +502,18 @@ let timeline_cmd =
     let procs = vs_config.Vs_node.procs in
     let scenario = resolve_scenario ~procs ~events ~seed scenario in
     let until =
-      if until < 0.0 then Gcs_nemesis.Harness.default_until ~config scenario
+      if until < 0.0 then Harness.default_until ~config scenario
       else until
     in
-    let workload = Gcs_nemesis.Harness.default_workload ~procs () in
-    let failures = Gcs_nemesis.Scenario.compile ~procs scenario in
+    let workload = Harness.default_workload ~procs () in
+    let failures = Scenario.compile ~procs scenario in
     let run = To_service.run config ~workload ~failures ~until ~seed in
-    Format.printf "%a@." Gcs_nemesis.Scenario.pp scenario;
+    Format.printf "%a@." Scenario.pp scenario;
     print_string (Gcs_apps.Timeline.of_to_service_run ~procs ~width ~until run);
     Printf.printf
       "legend: s bcast, + delivery, V newview; ! on the net row marks a \
        failure-status change; stabilization l=%.1f\n"
-      (Gcs_nemesis.Scenario.stabilization_time scenario)
+      (Scenario.stabilization_time scenario)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -1058,7 +1027,7 @@ let lockcheck_cmd =
   in
   let run n seed out =
     let module Lock = Gcs_stdx.Lock in
-    let module Suite = Gcs_conformance.Suite in
+    let module Suite = Gcs_nemesis.Suite in
     let metrics = Gcs_stdx.Metrics.create () in
     let registry = Lock.registry ~metrics () in
     (* The same conformance workload the transport gate runs, on a bus
@@ -1072,7 +1041,7 @@ let lockcheck_cmd =
       }
     in
     let outcomes = Suite.run_all profile ~seed in
-    List.iter (Format.printf "%a@." Suite.pp_outcome) outcomes;
+    List.iter (Format.printf "%a@." Harness.pp_line) outcomes;
     let graph = Lock.graph registry in
     Format.printf "%a" Lock.pp_graph graph;
     if not (String.equal out "") then begin
@@ -1082,7 +1051,7 @@ let lockcheck_cmd =
       close_out oc;
       Printf.printf "lock graph written to %s\n" out
     end;
-    let failed_cases = List.filter (fun o -> not (Suite.passed o)) outcomes in
+    let failed_cases = List.filter (fun o -> not (Harness.passed o)) outcomes in
     let inverted = not (List.is_empty graph.Lock.cycles) in
     if inverted then
       Printf.printf

@@ -112,7 +112,7 @@ let vstoto config ~until trace final_nodes =
           Some
             ("vs-conformance", Format.asprintf "%a" Vs_trace_checker.pp_error e)
       | Ok () -> (
-          let b', d' = Gcs_nemesis.Harness.bounds config in
+          let b', d' = To_service.bounds config in
           let report =
             To_property.check ~b:b' ~d:d'
               ~q:config.To_service.vs.Vs_node.procs ~horizon:until

@@ -146,8 +146,16 @@ let run (type c n i p o) ((module S) : (c, n, i, p, o) s) ?mutant ?metrics
   let handlers =
     match mutant with Some m -> m.instrument config handlers | None -> handlers
   in
-  B.run ?metrics ?observe ?stop S.codec ~procs:(S.procs config) ~handlers
-    ~init:(S.initial config) ~inputs:workload ~failures ~until ~seed
+  let result =
+    B.run ?metrics ?observe ?stop S.codec ~procs:(S.procs config) ~handlers
+      ~init:(S.initial config) ~inputs:workload ~failures ~until ~seed
+  in
+  Option.iter
+    (fun metrics ->
+      Gcs_impl.To_service.record_to_metrics metrics
+        (S.client_trace result.Iface.trace))
+    metrics;
+  result
 
 let tally trace =
   List.fold_left

@@ -6,13 +6,14 @@ open Gcs_core
     and treats VStoTO as one automaton that implements it. This module
     is the harness-side counterpart: {!S} is everything a harness needs
     from a total-order protocol (handlers, codec, input lift, client
-    trace, oracle chain, coverage hooks), so the conformance suite, the
-    fuzz runner, the differential mode and [gcs load] are written once
-    and run over any service. The instances (VStoTO, Skeen, the fixed
-    sequencer) and their registry live in {!Services}; a new backend is
-    one module there plus one registration. Planted bugs ({!mutant}) are
-    not part of a service: the fuzzer's catalog tags each with the
-    instance it instruments. *)
+    trace, oracle chain, coverage hooks), so the scenario runner
+    ([Harness.judge] in the nemesis library, which the nemesis commands,
+    the conformance suite and the fuzz runner share), the differential
+    mode and [gcs load] are written once and run over any service. The
+    instances (VStoTO, Skeen, the fixed sequencer) and their registry
+    live in {!Services}; a new backend is one module there plus one
+    registration. Planted bugs ({!mutant}) are not part of a service:
+    the fuzzer's catalog tags each with the instance it instruments. *)
 
 (** {2 Planted bugs} *)
 
@@ -159,9 +160,10 @@ module type S = sig
       Safety oracles apply to every run; completeness oracles only
       where the protocol promises it — always after stabilization for
       VStoTO, only on fault-free ([faulty = false]) runs for protocols
-      without retransmission. Harness scenarios always end fully good,
-      so conditional-performance oracles (the Theorem 7.2 bound) apply
-      with horizon [until]. *)
+      without retransmission. The scenario runner judges only
+      scenarios that end fully good (it refuses any other), so
+      conditional-performance oracles (the Theorem 7.2 bound) apply
+      with horizon [until]. Its one caller is that runner. *)
 
   (** {3 Coverage hooks} *)
 
@@ -226,7 +228,11 @@ val run :
   until:float ->
   seed:int ->
   ('n, 'o) Gcs_transport.Iface.result
-(** Run the service (instrumented by [mutant], if any) on [backend]. *)
+(** Run the service (instrumented by [mutant], if any) on [backend].
+    With [metrics], the registry also gets the TO-level metrics of the
+    client trace ({!Gcs_impl.To_service.record_to_metrics}): the same
+    [to.bcasts], [to.deliveries] and [to.bcast_brcv_latency] names for
+    every service. *)
 
 val tally : Value.t To_action.t Timed.t -> int * int
 (** (bcasts, deliveries) of a client trace. *)

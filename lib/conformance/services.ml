@@ -57,10 +57,10 @@ module Vstoto = struct
       trace
 
   let settle config ~stabilization ~workload_end:_ =
-    let b', d' = Gcs_nemesis.Harness.bounds config in
+    let b', d' = To_service.bounds config in
     stabilization +. b' +. d'
 
-  let slack ~delta:_ = Gcs_nemesis.Harness.horizon_slack
+  let slack ~delta:_ = To_service.horizon_slack
 
   let verdict config ~faulty:_ ~until ~workload:_ trace final_nodes =
     Oracle.vstoto config ~until trace final_nodes

@@ -40,23 +40,14 @@ let subject ?service ?mutant () =
 
 (* ------------------------------ execute ------------------------------ *)
 
-let crashed cov e =
-  ( {
-      coverage = cov;
-      verdict = Some { check = "crash"; detail = Printexc.to_string e };
-      bcasts = 0;
-      deliveries = 0;
-      events_processed = 0;
-    },
-    [] )
-
-(* One coverage-instrumented run: transition features through
-   [observe], state snapshots at the service's quiescent points plus the
-   final states, and the bucketed run-level counters. On the bus,
-   [observe] calls are serialized by the backend, so the accumulators
-   need no extra locking. With [drain], the run ends once every
-   destination has delivered the whole workload, and by [drain] at the
-   latest. *)
+(* One coverage-instrumented run through the scenario runner: transition
+   features through [observe], state snapshots at the service's quiescent
+   points plus the final states, and the bucketed run-level counters. On
+   the bus, [observe] calls are serialized by the backend, so the
+   accumulators need no extra locking. With [drain], the run ends once
+   every destination has delivered the whole workload, and by [drain] at
+   the latest. The runner turns a raised exception into a [crash]
+   verdict, with an empty trace. *)
 let run (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
     (mutant : (c, n, i, p, o) Service.mutant option) ?backend ?drain ?dests
     ~config input =
@@ -89,58 +80,52 @@ let run (type c n i p o) ((module S) : (c, n, i, p, o) Service.s)
   in
   let cov = ref Coverage.empty in
   let snaps = ref [] in
+  let trace = ref [] in
   let observe me pre post =
     Option.iter (fun f -> f me pre post) drained;
     cov :=
       List.fold_left Coverage.add !cov (S.transition_features config me pre post);
     if S.snapshot_point pre post then snaps := S.snapshot post :: !snaps
   in
-  (try
-     let backend =
-       match backend with Some b -> b | None -> Service.sim (module S) ~delta
-     in
-     let metrics = Gcs_stdx.Metrics.create () in
-     let result =
-       Service.run (module S) ?mutant ~metrics ~observe ?stop ~backend config
-         ~workload
-         ~failures:(Scenario.compile ~procs scenario)
-         ~until ~seed:input.Input.seed
-     in
-     let trace = S.client_trace result.Gcs_transport.Iface.trace in
-     let bcasts, deliveries = Service.tally trace in
-     cov :=
-       counter_features metrics ~names:S.counter_names ~tag:S.counter_tag
-         ~bcasts ~deliveries !cov;
-     let finals =
-       List.map
-         (fun (_, node) -> S.snapshot node)
-         (Proc.Map.bindings result.Gcs_transport.Iface.final_states)
-     in
-     cov :=
-       Coverage.union !cov
-         (Coverage.fuzzy_features ~tag:S.fuzzy_tag (finals @ !snaps));
-     let verdict =
-       Option.map
-         (fun (check, detail) -> { check; detail })
-         (S.verdict config
-            ~faulty:(input.Input.steps <> [])
-            ~until ~workload result.Gcs_transport.Iface.trace
-            result.Gcs_transport.Iface.final_states)
-     in
-     ( {
-         coverage = !cov;
-         verdict;
-         bcasts;
-         deliveries;
-         events_processed = result.Gcs_transport.Iface.events_processed;
-       },
-       trace )
-   with e ->
-     (* Any escape from the backend or a checker is a finding in its own
-        right; converting it keeps domain-pool batches alive and lets the
-        shrinker minimize crashing schedules like any other failure. *)
-     crashed !cov e)
-  [@gcs.lint.allow "P2"]
+  let metrics = Gcs_stdx.Metrics.create () in
+  let inspect result =
+    trace := S.client_trace result.Gcs_transport.Iface.trace;
+    cov :=
+      counter_features metrics ~names:S.counter_names ~tag:S.counter_tag
+        ~bcasts:(Gcs_stdx.Metrics.counter metrics "to.bcasts")
+        ~deliveries:(Gcs_stdx.Metrics.counter metrics "to.deliveries")
+        !cov;
+    let finals =
+      List.map
+        (fun (_, node) -> S.snapshot node)
+        (Proc.Map.bindings result.Gcs_transport.Iface.final_states)
+    in
+    cov :=
+      Coverage.union !cov
+        (Coverage.fuzzy_features ~tag:S.fuzzy_tag (finals @ !snaps))
+  in
+  let backend =
+    match backend with Some b -> b | None -> Service.sim (module S) ~delta
+  in
+  let outcome =
+    Harness.judge (module S) ?mutant ~metrics ~observe ?stop ~inspect
+      ~faulty:(input.Input.steps <> [])
+      ~backend config ~workload ~until ~seed:input.Input.seed scenario
+  in
+  let verdict =
+    Option.map (fun (check, detail) -> { check; detail }) outcome.Harness.failure
+  in
+  let crashed =
+    match verdict with Some { check = "crash"; _ } -> true | _ -> false
+  in
+  ( {
+      coverage = !cov;
+      verdict;
+      bcasts = outcome.Harness.bcasts;
+      deliveries = outcome.Harness.deliveries;
+      events_processed = outcome.Harness.events_processed;
+    },
+    if crashed then [] else !trace )
 
 let execute_full ?service ?mutant ?backend ?drain ?dests ~config input =
   let (module S : Service.S) = subject ?service ?mutant () in

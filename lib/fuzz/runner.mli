@@ -1,15 +1,15 @@
 (** Execute one fuzz input against a total-order service and judge it.
 
-    One execution = compile the input's stabilized scenario, lift its
-    workload into the service's inputs, run the service (on the
-    simulator with the input's seed unless a backend is given), collect
-    abstract-state coverage through the service's hooks
-    ({!Gcs_conformance.Service.S}), and apply the service's oracle
-    chain — for VStoTO: TO and VS trace conformance, the Theorem 7.2
-    delivery bound (fuzz scenarios are always stabilized) and the
-    node-local VStoTO invariants; for Skeen: the multi-group order
-    oracle and the node invariants on every run, completeness on
-    fault-free inputs only.
+    One execution = lift the input's workload into the service's inputs
+    and run its stabilized scenario through the scenario runner
+    ({!Gcs_nemesis.Harness.judge}; on the simulator with the input's
+    seed unless a backend is given), collecting abstract-state coverage
+    through the service's hooks ({!Gcs_conformance.Service.S}). The
+    runner applies the service's oracle chain — for VStoTO: TO and VS
+    trace conformance, the Theorem 7.2 delivery bound (fuzz scenarios
+    are always stabilized) and the node-local VStoTO invariants; for
+    Skeen: the multi-group order oracle and the node invariants on every
+    run, completeness on inputs without fault steps only.
 
     The observation is a pure function of (service, mutant, config,
     input), so executions fan out over a domain pool without

@@ -18,6 +18,17 @@ let make_config ?stable_storage_latency ?quorums ?(pipeline = true)
   in
   { vs; quorums; stable_storage_latency; pipeline; batch_window }
 
+let bounds config =
+  let vs = config.vs in
+  let b' = Vs_node.impl_b vs +. Vs_node.impl_d vs in
+  let d' = Vs_node.impl_d vs +. (4.0 *. vs.Vs_node.delta) in
+  (b', d')
+
+(* Extra slack past the theoretical horizon [l + b' + d']: leaves room for
+   workload submitted shortly before stabilization to drain, so the
+   delivery-bound check is not vacuously tight. *)
+let horizon_slack = 60.0
+
 type out =
   | Client of Value.t To_action.t
   | Vs_layer of Msg.t Vs_action.t

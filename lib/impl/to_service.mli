@@ -59,6 +59,15 @@ val make_config :
     [pipeline] defaults to [true] (the refinement is oracle-checked by the
     same conformance suite); [batch_window] defaults to [None]. *)
 
+val bounds : config -> float * float
+(** [(b', d')] for the Theorem 7.1 shape, from this implementation's
+    conservative {!Vs_node.impl_b} and {!Vs_node.impl_d}: TO stabilizes
+    within [b' = impl_b + impl_d] and delivers within [d' = impl_d + 4δ]. *)
+
+val horizon_slack : float
+(** Slack past the theoretical horizon [l + b' + d'] (60): room for
+    workload submitted shortly before stabilization to drain. *)
+
 type out =
   | Client of Value.t To_action.t  (** bcast/brcv at the client interface *)
   | Vs_layer of Msg.t Vs_action.t  (** the underlying VS external actions *)
@@ -149,6 +158,12 @@ val iter_latencies : (float -> unit) -> Value.t To_action.t Timed.t -> unit
     run's clock units (model time on the simulator, seconds on the bus),
     measured from the value's first bcast. The [to.bcast_brcv_latency]
     histogram records the same values. *)
+
+val record_to_metrics :
+  Gcs_stdx.Metrics.t -> Value.t To_action.t Timed.t -> unit
+(** Fill in the TO-level metrics of a client trace: the [to.bcasts] and
+    [to.deliveries] counters and the {!iter_latencies} histogram
+    [to.bcast_brcv_latency]. {!run_on} records them for its own runs. *)
 
 val vs_trace : run -> Msg.t Vs_action.t Timed.t
 

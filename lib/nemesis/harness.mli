@@ -1,51 +1,77 @@
 open Gcs_core
 open Gcs_impl
 
-(** Run the end-to-end TO service (VStoTO over the Section 8 VS
-    implementation) under a nemesis scenario and check everything the
-    paper promises:
+(** The scenario runner: one total-order service under one nemesis
+    scenario, judged by the service's whole oracle chain.
 
-    - the client trace conforms to TO-machine ({!To_trace_checker});
-    - the VS-layer trace conforms to VS-machine ({!Vs_trace_checker});
-    - when the scenario ends with the world fully good, the conditional
-      delivery bound of Theorem 7.2 holds: every TO order is delivered
-      within [b' + d'] of the final stabilization point (checked with
-      this implementation's conservative bounds [Vs_node.impl_b] /
-      [Vs_node.impl_d]). *)
+    {!judge} compiles the scenario, runs the service
+    ({!Gcs_conformance.Service.run}) on a backend and applies
+    {!Gcs_conformance.Service.S.verdict}; for VStoTO that is TO-machine
+    and VS-machine trace conformance, the Theorem 7.2 delivery bound,
+    view-homogeneous batches and the node invariants, for Skeen and the
+    sequencer their own chains. The first failing check is the verdict.
+    [gcs nemesis] and [gcs soak] ({!run}), the conformance suite
+    ({!Suite.check}) and the fuzzer ([Gcs_fuzz.Runner]) all run through
+    it. *)
 
 type outcome = {
   scenario : Scenario.t;
   seed : int;
   until : float;
   stabilization : float;
-  to_conformance : (unit, string) result;
-  vs_conformance : (unit, string) result;
-  bound : To_property.report option;
-      (** [None] when the scenario does not end fully good (the premise
-          of TO-property would be vacuous). *)
+  failure : (string * string) option;
+      (** the first failing [(check, detail)] of the oracle chain, or a
+          [("crash", exception)] when the run or a checker raised;
+          [None] = pass *)
   bcasts : int;
   deliveries : int;
   packets_sent : int;
   packets_dropped : int;
   events_processed : int;
   metrics : Gcs_stdx.Metrics.t;
-      (** full registry of the run ([engine.*], [vs.*], [to.*]) plus the
-          harness's own [harness.*] counters: bcast/delivery counts split
+      (** the run's registry ([engine.*], [vs.*], [to.*]) plus the
+          runner's own [harness.*] counters: bcast/delivery counts split
           at the scenario stabilization time [l]
-          ([harness.bcasts.pre_stabilization] etc.) *)
+          ([harness.bcasts.pre_stabilization] etc.); empty when {!judge}
+          was given no registry *)
 }
 
-val bounds : To_service.config -> float * float
-(** [(b', d')] for the Theorem 7.1 shape: TO stabilizes within
-    [b' = impl_b + impl_d] and delivers within [d' = impl_d + 4δ]. *)
+val judge :
+  ('c, 'n, 'i, 'p, 'o) Gcs_conformance.Service.s ->
+  ?mutant:('c, 'n, 'i, 'p, 'o) Gcs_conformance.Service.mutant ->
+  ?metrics:Gcs_stdx.Metrics.t ->
+  ?observe:(Proc.t -> 'n -> 'n -> unit) ->
+  ?stop:(now:float -> outputs:int -> bool) ->
+  ?inspect:(('n, 'o) Gcs_transport.Iface.result -> unit) ->
+  ?faulty:bool ->
+  backend:Gcs_transport.Iface.backend ->
+  'c ->
+  workload:(float * Proc.t * 'i) list ->
+  until:float ->
+  seed:int ->
+  Scenario.t ->
+  outcome
+(** Run the service (instrumented by [mutant], if any) under the
+    scenario and judge it. [observe] and [stop] go to the backend;
+    [inspect] sees the raw run before the verdict (the fuzzer's coverage
+    hook). [faulty] tells the verdict whether the run saw faults
+    (default: the scenario has steps). A raised exception becomes a
+    [("crash", _)] failure, never an escape, so a crashing schedule
+    cannot abort a batch. On the simulator the outcome is a pure
+    function of the arguments.
 
-val horizon_slack : float
-(** Slack past the theoretical horizon [l + b' + d'] (60), room for
-    workload submitted shortly before stabilization to drain. *)
+    The verdict's delivery-bound and completeness oracles assume the
+    scenario ends with the world fully good (the premise of
+    TO-property). A scenario that ends degraded raises
+    [Invalid_argument], naming it, before anything runs. *)
+
+val bounds : To_service.config -> float * float
+(** {!To_service.bounds}. *)
 
 val default_until : config:To_service.config -> Scenario.t -> float
-(** Stabilization time plus [b' + d'] plus slack — the shortest horizon
-    at which the delivery-bound check is not vacuous. *)
+(** Stabilization time plus [b' + d'] plus {!To_service.horizon_slack}:
+    the shortest horizon at which the delivery-bound check is not
+    vacuous. *)
 
 val default_workload :
   procs:Proc.t list ->
@@ -57,47 +83,28 @@ val default_workload :
 (** Distinct values per origin (required by {!To_property.check}). *)
 
 val run :
-  ?metrics:Gcs_stdx.Metrics.t ->
-  ?engine:Gcs_sim.Engine.config ->
-  ?backend:Gcs_transport.Iface.backend ->
-  ?stop:(now:float -> outputs:int -> bool) ->
   ?workload:(float * Proc.t * Value.t) list ->
   config:To_service.config ->
   ?until:float ->
   seed:int ->
   Scenario.t ->
   outcome
-(** On the default simulator path the outcome is a pure function of the
-    arguments. [backend] reruns the identical harness — same automata,
-    same oracles — on a pluggable transport (e.g. {!Gcs_transport.Bus}),
-    where times in the scenario and workload are wall-clock seconds and
-    the outcome depends on real scheduling; [engine] is ignored then.
-    [stop] is forwarded to the backend so wall-clock runs can end as soon
-    as the workload visibly drained. *)
-
-val run_batch :
-  ?jobs:int ->
-  ?engine:Gcs_sim.Engine.config ->
-  ?workload:(float * Proc.t * Value.t) list ->
-  config:To_service.config ->
-  ?until:float ->
-  ?events:int ->
-  seeds:int list ->
-  unit ->
-  outcome list
-(** Run one {!Gen.scenario} per seed through {!run} on a
-    {!Gcs_stdx.Pool} of [jobs] domains (default: [GCS_JOBS]). Each run
-    owns its PRNG, so runs are independent and the outcome list is
-    bit-identical to the sequential [List.map] — in seed order — at any
-    [jobs]. *)
+(** {!judge} on VStoTO over the simulator, with a fresh metrics registry,
+    the {!default_workload} and the {!default_until} horizon unless
+    given. *)
 
 val passed : outcome -> bool
+
 val pp : Format.formatter -> outcome -> unit
 
+val pp_line : Format.formatter -> outcome -> unit
+(** One line: seed, scenario, deliveries and the verdict, with the
+    failing check's name. *)
+
 val to_json : outcome -> string
-(** One flat JSON object of the checker-facing fields. Deterministic for
-    a given (scenario, seed): batch runs compare these strings across job
-    counts. *)
+(** One flat JSON object of the outcome's scalar fields, with
+    ["failure"] either [null] or [{"check": ..., "detail": ...}].
+    Deterministic for a given (scenario, seed). *)
 
 val to_json_with_metrics : outcome -> string
 (** {!to_json} with a ["metrics"] member appended: the full

@@ -1,6 +1,6 @@
 open Gcs_core
 open Gcs_impl
-open Gcs_nemesis
+module Service = Gcs_conformance.Service
 
 type profile = {
   label : string;
@@ -55,8 +55,6 @@ let bus_profile ?batch_window ?n service =
     use_stop = true;
   }
 
-type case = { name : string; scenario : Scenario.t }
-
 let cases profile =
   let procs = profile.config.To_service.vs.Vs_node.procs in
   let n = List.length procs in
@@ -77,7 +75,7 @@ let cases profile =
     let min_part = List.filter (fun p -> not (List.mem p maj)) procs in
     [ maj; min_part ]
   in
-  let v name steps = { name; scenario = Scenario.v name steps } in
+  let v = Scenario.v in
   [
     v "clean" [];
     v "partition-heal"
@@ -96,15 +94,6 @@ let cases profile =
         Scenario.at (6.0 *. b) (Scenario.Wake hi);
         Scenario.at (6.5 *. b) Scenario.Heal ];
   ]
-
-type outcome = {
-  case : string;
-  seed : int;
-  failure : (string * string) option;
-  bcasts : int;
-  deliveries : int;
-  events_processed : int;
-}
 
 (* Workload spread over the fault window: distinct values per origin (the
    trace checkers require it), origins interleaved. Addressing is
@@ -139,11 +128,10 @@ let addressing profile =
     (fun (_, p, input) -> (p, S.destinations config input))
     (workload (module S) config profile)
 
-let check profile ~seed case =
+let check profile ~seed scenario =
   let (module S : Service.S) = profile.service in
   let config = S.configure profile.config in
-  let procs = S.procs config in
-  let l = Scenario.stabilization_time case.scenario in
+  let l = Scenario.stabilization_time scenario in
   let workload = workload (module S) config profile in
   let workload_end =
     List.fold_left (fun acc (t, _, _) -> Float.max acc t) 0.0 workload
@@ -151,7 +139,6 @@ let check profile ~seed case =
   let until =
     S.settle config ~stabilization:l ~workload_end +. profile.slack
   in
-  let failures = Scenario.compile ~procs case.scenario in
   (* Early stop for wall-clock backends: every node has delivered the
      whole workload addressed to it, and the fault schedule has fully
      played (stopping mid-schedule would make the bound check vacuous). *)
@@ -161,36 +148,8 @@ let check profile ~seed case =
       (observe, Some stop)
     else (None, None)
   in
-  let run =
-    Service.run (module S) ?observe ?stop
-      ~backend:profile.backend config ~workload ~failures ~until ~seed
-  in
-  let trace = run.Gcs_transport.Iface.trace in
-  let failure =
-    S.verdict config
-      ~faulty:(case.scenario.Scenario.steps <> [])
-      ~until ~workload trace run.Gcs_transport.Iface.final_states
-  in
-  let bcasts, deliveries = Service.tally (S.client_trace trace) in
-  {
-    case = case.name;
-    seed;
-    failure;
-    bcasts;
-    deliveries;
-    events_processed = run.Gcs_transport.Iface.events_processed;
-  }
+  Harness.judge (module S) ?observe ?stop ~backend:profile.backend config
+    ~workload ~until ~seed scenario
 
 let run_all profile ~seed =
-  List.map (fun case -> check profile ~seed case) (cases profile)
-
-let passed outcome = Option.is_none outcome.failure
-
-let pp_outcome ppf o =
-  match o.failure with
-  | None ->
-      Format.fprintf ppf "%-16s seed %d: OK (%d bcasts, %d deliveries)" o.case
-        o.seed o.bcasts o.deliveries
-  | Some (check, detail) ->
-      Format.fprintf ppf "%-16s seed %d: FAILED %s: %s" o.case o.seed check
-        detail
+  List.map (fun scenario -> check profile ~seed scenario) (cases profile)

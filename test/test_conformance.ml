@@ -11,6 +11,7 @@
    played). A failure prints the case, seed and offending oracle. *)
 
 open Gcs_conformance
+open Gcs_nemesis
 
 (* Every case submits workload_count values per processor. A service
    that completes under faults (VStoTO recovers through state exchange)
@@ -31,14 +32,15 @@ let check_profile profile () =
   in
   List.iter
     (fun o ->
-      if not (Suite.passed o) then
-        Alcotest.failf "%s" (Format.asprintf "%a" Suite.pp_outcome o);
+      if not (Harness.passed o) then
+        Alcotest.failf "%s" (Harness.to_json o);
+      let case = o.Harness.scenario.Scenario.name in
       let floor =
-        if S.completes_under_faults || o.Suite.case = "clean" then full else 1
+        if S.completes_under_faults || case = "clean" then full else 1
       in
-      if o.Suite.deliveries < floor then
-        Alcotest.failf "%s: only %d deliveries (floor %d) — vacuous run?"
-          o.Suite.case o.Suite.deliveries floor)
+      if o.Harness.deliveries < floor then
+        Alcotest.failf "%s: only %d deliveries (floor %d) — vacuous run?" case
+          o.Harness.deliveries floor)
     outcomes
 
 (* The suite's mixed addressing must exercise overlapping partial
@@ -118,6 +120,58 @@ let cases ~label ~speed ~profile ~batch_window =
        Services.all)
   |> fun tests -> (label, tests)
 
+(* Every service's run records the same TO-level metrics from its client
+   trace: one [to.deliveries] per brcv, and one latency sample for each. *)
+let check_to_metrics () =
+  let procs = Gcs_core.Proc.all ~n:4 in
+  let shared =
+    Gcs_impl.To_service.make_config
+      { Gcs_impl.Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }
+  in
+  List.iter
+    (fun service ->
+      let (module S : Service.S) = service in
+      let config = S.configure shared in
+      let workload =
+        List.concat_map
+          (fun p ->
+            List.init 3 (fun k ->
+                ( float_of_int (1 + (4 * k)),
+                  p,
+                  S.lift config p (Printf.sprintf "m%d.%d" p k) )))
+          procs
+      in
+      let metrics = Gcs_stdx.Metrics.create () in
+      let run =
+        Service.run (module S) ~metrics
+          ~backend:(Service.sim service ~delta:1.0)
+          config ~workload ~failures:[] ~until:300.0 ~seed:3
+      in
+      let count p =
+        List.length
+          (List.filter p
+             (Gcs_core.Timed.actions (S.client_trace run.Gcs_transport.Iface.trace)))
+      in
+      let brcvs =
+        count (fun (_, a) ->
+            match a with Gcs_core.To_action.Brcv _ -> true | _ -> false)
+      in
+      let bcasts =
+        count (fun (_, a) ->
+            match a with Gcs_core.To_action.Bcast _ -> true | _ -> false)
+      in
+      Alcotest.(check bool) (S.name ^ ": deliveries happened") true (brcvs > 0);
+      Alcotest.(check int) (S.name ^ ": to.bcasts") bcasts
+        (Gcs_stdx.Metrics.counter metrics "to.bcasts");
+      Alcotest.(check int) (S.name ^ ": to.deliveries") brcvs
+        (Gcs_stdx.Metrics.counter metrics "to.deliveries");
+      match Gcs_stdx.Metrics.histogram metrics "to.bcast_brcv_latency" with
+      | Some (_, samples, _, _) ->
+          Alcotest.(check int) (S.name ^ ": one latency sample per delivery")
+            brcvs samples
+      | None -> Alcotest.failf "%s: no to.bcast_brcv_latency histogram" S.name)
+    Services.all
+
 let () =
   Alcotest.run "cross-transport conformance"
     [
@@ -130,5 +184,10 @@ let () =
       ( "workload",
         [
           Alcotest.test_case "skeen: mixed addressing" `Quick check_addressing;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "to.* from Service.run for every service" `Quick
+            check_to_metrics;
         ] );
     ]

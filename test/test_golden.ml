@@ -39,14 +39,17 @@ let vs_config n =
   { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }
 
 (* VStoTO through [Harness.run] on a built-in nemesis scenario, and the
-   same run's full trace (client and VS layer). *)
+   same run's full trace (client and VS layer). The outcome digest was
+   re-recorded when the outcome JSON moved to [Jsonx] and a single
+   ["failure"] member replaced the per-checker fields; its ["metrics"]
+   member is byte-equal to the one recorded before. *)
 let test_vstoto () =
   let config = To_service.make_config (vs_config 5) in
   let procs = config.To_service.vs.Vs_node.procs in
   let scenario = Option.get (Scenario.find_builtin ~procs "split-heal") in
   let outcome = Harness.run ~config ~seed:7 scenario in
   Alcotest.(check string)
-    "harness outcome and metrics" "bd041d6f99aa2368c00c536885b9a644"
+    "harness outcome and metrics" "23133ec65d7286e202953b3066f7ab39"
     (hex (Harness.to_json_with_metrics outcome));
   let run =
     To_service.run config
@@ -149,12 +152,11 @@ let test_suite () =
   let outcomes profile =
     List.map
       (fun o ->
-        Printf.sprintf "%s %d %d %d" o.Gcs_conformance.Suite.case
-          o.Gcs_conformance.Suite.bcasts o.Gcs_conformance.Suite.deliveries
-          o.Gcs_conformance.Suite.events_processed)
-      (Gcs_conformance.Suite.run_all profile ~seed:7)
+        Printf.sprintf "%s %d %d %d" o.Harness.scenario.Scenario.name
+          o.Harness.bcasts o.Harness.deliveries o.Harness.events_processed)
+      (Suite.run_all profile ~seed:7)
   in
-  let sim = Gcs_conformance.Suite.sim_profile in
+  let sim = Suite.sim_profile in
   Alcotest.(check (list string))
     "vstoto"
     [

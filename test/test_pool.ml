@@ -116,7 +116,11 @@ let nemesis_batch ~jobs seeds =
     { Vs_node.procs; p0 = procs; pi = 8.0; mu = 10.0; delta = 1.0 }
   in
   let config = To_service.make_config vs_config in
-  Gcs_nemesis.Harness.run_batch ~jobs ~config ~events:8 ~seeds ()
+  Gcs_stdx.Pool.map ~jobs
+    (fun seed ->
+      Gcs_nemesis.Harness.run ~config ~seed
+        (Gcs_nemesis.Gen.scenario ~procs ~events:8 ~seed ()))
+    seeds
 
 let nemesis_outcomes ~jobs seeds =
   List.map Gcs_nemesis.Harness.to_json (nemesis_batch ~jobs seeds)
