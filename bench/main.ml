@@ -58,68 +58,8 @@ let header title =
 
 let row fmt = Printf.printf fmt
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emitter for --json (no external dependency). *)
-
-module J = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let num f = if Float.is_nan f || Float.is_integer (f /. 0.0) then Null else Float f
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 32 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec emit buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf (Str k);
-            Buffer.add_char buf ':';
-            emit buf v)
-          fields;
-        Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 1024 in
-    emit buf t;
-    Buffer.contents buf
-end
+(* Machine-readable rows for --json. *)
+module J = Gcs_stdx.Jsonx
 
 type section = { id : string; title : string; wall_s : float; rows : J.t list }
 
@@ -181,11 +121,11 @@ let x6 () =
       row "%4d %6d %12.2f %12.2f %12.2f\n" n (List.length q) m pb ib;
       J.Obj
         [
-          ("n", J.Int n);
-          ("q_size", J.Int (List.length q));
-          ("measured_mean", J.num m);
-          ("paper_b", J.num pb);
-          ("impl_b", J.num ib);
+          ("n", J.int n);
+          ("q_size", J.int (List.length q));
+          ("measured_mean", J.Num m);
+          ("paper_b", J.Num pb);
+          ("impl_b", J.Num ib);
         ])
     ns
 
@@ -261,12 +201,12 @@ let x7 () =
         id;
       J.Obj
         [
-          ("n", J.Int n);
-          ("pi", J.num config.Vs_node.pi);
-          ("mean", J.num m);
-          ("max", J.num mx);
-          ("paper_d", J.num pd);
-          ("impl_d", J.num id);
+          ("n", J.int n);
+          ("pi", J.Num config.Vs_node.pi);
+          ("mean", J.Num m);
+          ("max", J.Num mx);
+          ("paper_d", J.Num pd);
+          ("impl_d", J.Num id);
         ])
     configs
 
@@ -340,11 +280,11 @@ let x8 () =
       row "%4d %10.2f %10.2f %14.2f %14.2f\n" n m mx b' d';
       J.Obj
         [
-          ("n", J.Int n);
-          ("mean", J.num m);
-          ("max", J.num mx);
-          ("bound_b_plus_d", J.num b');
-          ("bound_d", J.num d');
+          ("n", J.int n);
+          ("mean", J.Num m);
+          ("max", J.Num mx);
+          ("bound_b_plus_d", J.Num b');
+          ("bound_d", J.Num d');
         ])
     ns
 
@@ -404,9 +344,9 @@ let x9 () =
       row "%10d %12.2f %14d\n" backlog catchup deliveries;
       J.Obj
         [
-          ("backlog", J.Int backlog);
-          ("catchup_time", J.num catchup);
-          ("minority_deliveries", J.Int deliveries);
+          ("backlog", J.int backlog);
+          ("catchup_time", J.Num catchup);
+          ("minority_deliveries", J.int deliveries);
         ])
     results
 
@@ -504,8 +444,8 @@ let x10 () =
         [
           ("phase", J.Str "steady");
           ("protocol", J.Str name);
-          ("latency", J.num lat);
-          ("deliveries", J.Int dels);
+          ("latency", J.Num lat);
+          ("deliveries", J.int dels);
         ])
     steady
   @ List.map
@@ -514,7 +454,7 @@ let x10 () =
           [
             ("phase", J.Str "partitioned");
             ("protocol", J.Str name);
-            ("deliveries", J.Int dels);
+            ("deliveries", J.int dels);
           ])
       partitioned
 
@@ -555,8 +495,8 @@ let x11 () =
   row "newview events during churn (t <= %.1f): %d\n" cutoff before;
   row "newview events after stabilization:      %d   (paper: must be 0)\n" after;
   [
-    J.Obj [ ("period", J.Str "churn"); ("newviews", J.Int before) ];
-    J.Obj [ ("period", J.Str "stabilized"); ("newviews", J.Int after) ];
+    J.Obj [ ("period", J.Str "churn"); ("newviews", J.int before) ];
+    J.Obj [ ("period", J.Str "stabilized"); ("newviews", J.int after) ];
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -601,10 +541,10 @@ let x12 () =
       row "%6d %14d %16d %18.2f\n" n max_entries packets per_delivery;
       J.Obj
         [
-          ("n", J.Int n);
-          ("max_token_entries", J.Int max_entries);
-          ("packets_sent", J.Int packets);
-          ("packets_per_delivery", J.num per_delivery);
+          ("n", J.int n);
+          ("max_token_entries", J.int max_entries);
+          ("packets_sent", J.int packets);
+          ("packets_per_delivery", J.Num per_delivery);
         ])
     results
 
@@ -648,9 +588,9 @@ let x13 () =
       J.Obj
         [
           ("links", J.Str label);
-          ("mean", J.num m);
-          ("max", J.num mx);
-          ("paper_d", J.num (Vs_node.paper_d config));
+          ("mean", J.Num m);
+          ("max", J.Num mx);
+          ("paper_d", J.Num (Vs_node.paper_d config));
         ])
     variants
 
@@ -698,8 +638,8 @@ let x14 () =
       J.Obj
         [
           ("protocol", J.Str label);
-          ("stabilization", J.num t);
-          ("newviews", J.num v);
+          ("stabilization", J.Num t);
+          ("newviews", J.Num v);
         ])
     protocols
 
@@ -758,9 +698,9 @@ let x16 () =
       row "%14.2f %14.2f %12.2f\n" offered delivered lat;
       J.Obj
         [
-          ("offered_per_unit", J.num offered);
-          ("delivered_per_unit", J.num delivered);
-          ("mean_latency", J.num lat);
+          ("offered_per_unit", J.Num offered);
+          ("delivered_per_unit", J.Num delivered);
+          ("mean_latency", J.Num lat);
         ])
     results
 
@@ -831,9 +771,9 @@ let x17 () =
       J.Obj
         [
           ("schedule", J.Str name);
-          ("delivered_per_unit", J.num delivered);
-          ("mean_latency", J.num lat);
-          ("dropped", J.Int dropped);
+          ("delivered_per_unit", J.Num delivered);
+          ("mean_latency", J.Num lat);
+          ("dropped", J.int dropped);
         ])
     results
 
@@ -841,17 +781,6 @@ let x17 () =
 (* X18: observability — the full metrics registry of one nemesis run
    (the split-heal scenario), embedded in the JSON results so downstream
    tooling reads run metrics and bench rows from one file. *)
-
-let rec j_of_jsonx = function
-  | Gcs_stdx.Jsonx.Null -> J.Null
-  | Gcs_stdx.Jsonx.Bool b -> J.Bool b
-  | Gcs_stdx.Jsonx.Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then J.Int (int_of_float f)
-      else J.num f
-  | Gcs_stdx.Jsonx.Str s -> J.Str s
-  | Gcs_stdx.Jsonx.Arr xs -> J.Arr (List.map j_of_jsonx xs)
-  | Gcs_stdx.Jsonx.Obj fields ->
-      J.Obj (List.map (fun (k, v) -> (k, j_of_jsonx v)) fields)
 
 let x18 () =
   let n = 5 in
@@ -865,15 +794,15 @@ let x18 () =
   let metrics = outcome.Gcs_nemesis.Harness.metrics in
   Format.printf "%a@." Gcs_stdx.Metrics.pp metrics;
   let metrics_j =
-    match Gcs_stdx.Jsonx.of_string (Gcs_stdx.Metrics.to_json metrics) with
-    | Ok v -> j_of_jsonx v
+    match J.of_string (Gcs_stdx.Metrics.to_json metrics) with
+    | Ok v -> v
     | Error e -> J.Str ("unparseable metrics snapshot: " ^ e)
   in
   [
     J.Obj
       [
         ("scenario", J.Str "split-heal");
-        ("seed", J.Int 1);
+        ("seed", J.int 1);
         ("passed", J.Bool (Gcs_nemesis.Harness.passed outcome));
         ("metrics", metrics_j);
       ];
@@ -929,11 +858,11 @@ let x19 () =
       [
         ("mode", J.Str "raw-relay");
         ("backend", J.Str "bus");
-        ("n", J.Int 2);
-        ("window", J.Int window);
-        ("wall_s", J.num wall);
-        ("packets_sent", J.Int result.I.packets_sent);
-        ("msgs_per_s", J.num rate);
+        ("n", J.int 2);
+        ("window", J.int window);
+        ("wall_s", J.Num wall);
+        ("packets_sent", J.int result.I.packets_sent);
+        ("msgs_per_s", J.Num rate);
       ]
   in
   let stack ~n ~count =
@@ -960,14 +889,14 @@ let x19 () =
       [
         ("mode", J.Str "vstoto-stack");
         ("backend", J.Str "bus");
-        ("n", J.Int n);
-        ("client_msgs", J.Int count);
-        ("wall_s", J.num wall);
-        ("packets_sent", J.Int run.To_service.packets_sent);
-        ("client_deliveries", J.Int deliveries);
-        ("packet_msgs_per_s", J.num packet_rate);
-        ("client_msgs_per_s", J.num client_rate);
-        ("msgs_per_s", J.num client_rate);
+        ("n", J.int n);
+        ("client_msgs", J.int count);
+        ("wall_s", J.Num wall);
+        ("packets_sent", J.int run.To_service.packets_sent);
+        ("client_deliveries", J.int deliveries);
+        ("packet_msgs_per_s", J.Num packet_rate);
+        ("client_msgs_per_s", J.Num client_rate);
+        ("msgs_per_s", J.Num client_rate);
       ]
   in
   [ raw ~window:32 ~until:2.0; stack ~n:3 ~count:300 ]
@@ -1035,17 +964,17 @@ let x20 () =
       [
         ("mode", J.Str mode);
         ("backend", J.Str backend_name);
-        ("n", J.Int n);
+        ("n", J.int n);
         ( "batch_window",
-          match window with None -> J.Null | Some w -> J.num w );
-        ("client_msgs", J.Int total);
-        ("wall_s", J.num wall);
-        ("client_deliveries", J.Int deliveries);
-        ("gpsnd_batches", J.Int batches);
-        ("batch_mean", J.num batch_mean);
-        ("batch_max", J.num batch_max);
-        ("client_msgs_per_s", J.num client_rate);
-        ("msgs_per_s", J.num client_rate);
+          match window with None -> J.Null | Some w -> J.Num w );
+        ("client_msgs", J.int total);
+        ("wall_s", J.Num wall);
+        ("client_deliveries", J.int deliveries);
+        ("gpsnd_batches", J.int batches);
+        ("batch_mean", J.Num batch_mean);
+        ("batch_max", J.Num batch_max);
+        ("client_msgs_per_s", J.Num client_rate);
+        ("msgs_per_s", J.Num client_rate);
       ]
   in
   [
@@ -1099,10 +1028,10 @@ let x21 () =
         ("to_backend", J.Str name);
         ("mode", J.Str "latency");
         ("backend", J.Str "sim");
-        ("n", J.Int n);
-        ("deliveries", J.Int (List.length times));
-        ("mean_latency", J.num mean);
-        ("max_latency", J.num worst);
+        ("n", J.int n);
+        ("deliveries", J.int (List.length times));
+        ("mean_latency", J.Num mean);
+        ("max_latency", J.Num worst);
       ]
   in
   (* Every service in the same row order as the committed baselines. *)
@@ -1134,13 +1063,13 @@ let x21 () =
         ("to_backend", J.Str name);
         ("mode", J.Str "throughput");
         ("backend", J.Str "bus");
-        ("n", J.Int n);
-        ("client_msgs", J.Int total);
-        ("wall_s", J.num wall);
-        ("client_deliveries", J.Int deliveries);
-        ("packets_sent", J.Int packets);
-        ("client_msgs_per_s", J.num client_rate);
-        ("msgs_per_s", J.num client_rate);
+        ("n", J.int n);
+        ("client_msgs", J.int total);
+        ("wall_s", J.Num wall);
+        ("client_deliveries", J.int deliveries);
+        ("packets_sent", J.int packets);
+        ("client_msgs_per_s", J.Num client_rate);
+        ("msgs_per_s", J.Num client_rate);
       ]
   in
   let count = 120 in
@@ -1219,10 +1148,10 @@ let x22 () =
         J.Obj
           [
             ("pair", J.Str name);
-            ("execs", J.Int execs);
-            ("wall_s", J.num wall);
-            ("execs_per_s", J.num rate);
-            ("features", J.Int outcome.Gcs_fuzz.Fuzz.stats.Gcs_fuzz.Fuzz.features);
+            ("execs", J.int execs);
+            ("wall_s", J.Num wall);
+            ("execs_per_s", J.Num rate);
+            ("features", J.int outcome.Gcs_fuzz.Fuzz.stats.Gcs_fuzz.Fuzz.features);
           ])
       Gcs_fuzz.Differential.all
   in
@@ -1251,10 +1180,10 @@ let x22 () =
       J.Obj
         [
           ("pair", J.Str "fuzzy-hash");
-          ("snapshots", J.Int (List.length snaps * reps));
-          ("wall_s", J.num wall);
-          ("snapshots_per_s", J.num snaps_per_s);
-          ("mb_per_s", J.num mb_per_s);
+          ("snapshots", J.int (List.length snaps * reps));
+          ("wall_s", J.Num wall);
+          ("snapshots_per_s", J.Num snaps_per_s);
+          ("mb_per_s", J.Num mb_per_s);
         ];
     ]
 
@@ -1456,7 +1385,7 @@ let micro () =
             [
               ("name", J.Str name);
               ( "ns_per_run",
-                match est with Some e -> J.num e | None -> J.Null );
+                match est with Some e -> J.Num e | None -> J.Null );
             ])
         entries)
     tests
@@ -1516,10 +1445,10 @@ let () =
             ( "harness",
               J.Str "gcs bench/main.exe (Fekete-Lynch-Shvartsman reproduction)"
             );
-            ("jobs", J.Int !jobs);
+            ("jobs", J.int !jobs);
             ("quick", J.Bool quick);
             ( "total_wall_s",
-              J.num (List.fold_left (fun a s -> a +. s.wall_s) 0.0 sections) );
+              J.Num (List.fold_left (fun a s -> a +. s.wall_s) 0.0 sections) );
             ( "sections",
               J.Arr
                 (List.map
@@ -1528,14 +1457,14 @@ let () =
                        [
                          ("id", J.Str s.id);
                          ("title", J.Str s.title);
-                         ("wall_clock_s", J.num s.wall_s);
+                         ("wall_clock_s", J.Num s.wall_s);
                          ("rows", J.Arr s.rows);
                        ])
                    sections) );
           ]
       in
       let oc = open_out file in
-      output_string oc (J.to_string json);
+      output_string oc (J.encode json);
       output_string oc "\n";
       close_out oc;
       Printf.printf "\nwrote %s\n" file);
@@ -1615,8 +1544,7 @@ let () =
                 | J.Obj fields ->
                     let rate =
                       match List.assoc_opt "client_msgs_per_s" fields with
-                      | Some (J.Float f) -> Some f
-                      | Some (J.Int i) -> Some (float_of_int i)
+                      | Some (J.Num f) -> Some f
                       | _ -> None
                     in
                     Option.map

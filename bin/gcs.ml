@@ -1453,7 +1453,7 @@ let load_cmd =
     let packets = run.Gcs_transport.Iface.packets_sent in
     let rate_text = if rate <= 0.0 then "preload" else Printf.sprintf "%g" rate in
     if json then
-      let num x = Gcs_stdx.Jsonx.Num x and int k = Gcs_stdx.Jsonx.Num (float_of_int k) in
+      let num x = Gcs_stdx.Jsonx.Num x and int = Gcs_stdx.Jsonx.int in
       print_endline
         (Gcs_stdx.Jsonx.encode
            (Gcs_stdx.Jsonx.Obj

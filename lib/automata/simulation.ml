@@ -14,38 +14,44 @@ let run_abstract abstract start actions =
   in
   go start actions
 
+(* [f] and [corresponds] reject a state they cannot abstract (an
+   unreachable, bug-revealing one) by raising [Invalid_argument]; that
+   fails the step like any other emulation failure. *)
+let guarded thunk =
+  match thunk () with
+  | result -> result
+  | exception Invalid_argument reason -> Error reason
+
 let check_execution ~abstract ~f ~corresponds ~equal_abs
     (e : ('cs, 'ca) Exec.execution) =
-  if not (equal_abs (f e.Exec.init) abstract.Automaton.initial) then
-    Error
-      {
-        step_index = 0;
-        concrete_action = None;
-        reason = "f(initial) differs from abstract initial state";
-      }
-  else
-    let rec go i = function
-      | [] -> Ok ()
-      | step :: rest -> (
-          let abs_actions =
-            corresponds step.Exec.pre step.Exec.action step.Exec.post
-          in
-          match run_abstract abstract (f step.Exec.pre) abs_actions with
-          | Error reason ->
-              Error
-                {
-                  step_index = i;
-                  concrete_action = Some step.Exec.action;
-                  reason;
-                }
-          | Ok abs_final ->
-              if equal_abs abs_final (f step.Exec.post) then go (i + 1) rest
-              else
+  let initial () =
+    if equal_abs (f e.Exec.init) abstract.Automaton.initial then Ok ()
+    else Error "f(initial) differs from abstract initial state"
+  in
+  let emulate step () =
+    let abs_actions =
+      corresponds step.Exec.pre step.Exec.action step.Exec.post
+    in
+    match run_abstract abstract (f step.Exec.pre) abs_actions with
+    | Error reason -> Error reason
+    | Ok abs_final ->
+        if equal_abs abs_final (f step.Exec.post) then Ok ()
+        else Error "abstract state mismatch after emulation"
+  in
+  match guarded initial with
+  | Error reason -> Error { step_index = 0; concrete_action = None; reason }
+  | Ok () ->
+      let rec go i = function
+        | [] -> Ok ()
+        | step :: rest -> (
+            match guarded (emulate step) with
+            | Ok () -> go (i + 1) rest
+            | Error reason ->
                 Error
                   {
                     step_index = i;
                     concrete_action = Some step.Exec.action;
-                    reason = "abstract state mismatch after emulation";
+                    reason;
                   })
-    in
-    go 1 e.Exec.steps
+      in
+      go 1 e.Exec.steps

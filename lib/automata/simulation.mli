@@ -26,7 +26,10 @@ val check_execution :
   equal_abs:('abs -> 'abs -> bool) ->
   ('cs, 'ca) Exec.execution ->
   (unit, 'ca failure) result
-(** [Error failure] on the first step whose abstract emulation fails (either
-    an abstract action was not enabled, or the final abstract state differs
-    from [f post]); [Ok ()] if the whole execution simulates, including the
-    initial-state condition [equal_abs (f init) abstract.initial]. *)
+(** [Error failure] on the first step whose abstract emulation fails (an
+    abstract action was not enabled, the final abstract state differs from
+    [f post], or [f] or [corresponds] raised [Invalid_argument reason] on
+    the step's states); [Ok ()] if the whole execution simulates,
+    including the initial-state condition
+    [equal_abs (f init) abstract.initial]. Never raises [Invalid_argument]
+    from [f] or [corresponds]. *)

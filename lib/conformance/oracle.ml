@@ -43,6 +43,39 @@ let vstoto_invariants : Vstoto.state Gcs_automata.Invariant.t list =
         | Some l ->
             Error
               (Format.asprintf "reported label %a has no content" Label.pp l));
+    (* A label of the current view is created only after its origin
+       established the view, so in the view's VS order it follows every
+       summary, and its safe notification follows theirs: once one is
+       confirmed, every member's summary is safe here (the order Lemma
+       6.20 rests on). The initial view g0 has no exchange: P0 starts
+       established in it. *)
+    Gcs_automata.Invariant.make_explained "exchange-safe-before-confirm"
+      (fun (st : Vstoto.state) ->
+        match st.Vstoto.current with
+        | None -> Ok ()
+        | Some v
+          when View_id.equal v.View.id View_id.g0
+               || Proc.Set.equal st.Vstoto.safe_exch v.View.set ->
+            Ok ()
+        | Some v -> (
+            let confirmed =
+              Gcs_stdx.Seqx.take (st.Vstoto.nextconfirm - 1)
+                (Gcs_stdx.Tape.to_list st.Vstoto.order)
+            in
+            match
+              List.find_opt
+                (fun l -> View_id.equal l.Label.id v.View.id)
+                confirmed
+            with
+            | None -> Ok ()
+            | Some l ->
+                Error
+                  (Format.asprintf
+                     "label %a of the current view confirmed with %d of %d \
+                      summaries safe"
+                     Label.pp l
+                     (Proc.Set.cardinal st.Vstoto.safe_exch)
+                     (Proc.Set.cardinal v.View.set))));
   ]
 
 let node_invariant_failure final_states =

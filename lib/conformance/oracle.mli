@@ -10,7 +10,11 @@ open Gcs_impl
 val vstoto_invariants :
   Gcs_core.Vstoto.state Gcs_automata.Invariant.t list
 (** Counter ordering ([1 <= nextreport <= nextconfirm <= |order|+1]),
-    duplicate-free delivery order, reported-prefix content presence. *)
+    duplicate-free delivery order, reported-prefix content presence, and
+    [exchange-safe-before-confirm]: a confirmed label of the current view
+    implies that every member's summary is safe ([safe_exch] is the
+    view's member set); the initial view, which has no exchange, is
+    exempt. *)
 
 val node_invariant_failure :
   To_service.node Gcs_core.Proc.Map.t -> (string * string) option

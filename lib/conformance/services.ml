@@ -108,9 +108,9 @@ module Vstoto = struct
   let snapshot_point = view_changed
 
   (* Status, view, delivery counters, the full delivered order, and the
-     sizes of every queue the protocol keeps (buffer, delay, pipeline
-     holds, exchange bookkeeping), plus the service-level view-install
-     count and staging depth. *)
+     sizes of every queue the protocol keeps (buffer, delay, exchange
+     bookkeeping), plus the service-level view-install count and staging
+     depth. *)
   let snapshot node =
     let st = To_service.node_app node in
     let buf = Buffer.create 256 in
@@ -128,11 +128,9 @@ module Vstoto = struct
     List.iter
       (fun l -> Printf.bprintf buf "o %s\n" (Format.asprintf "%a" Label.pp l))
       (Gcs_stdx.Tape.to_list st.Vstoto.order);
-    Printf.bprintf buf "buf=%d delay=%d held=%d hsafe=%d got=%d sx=%d sl=%d\n"
+    Printf.bprintf buf "buf=%d delay=%d got=%d sx=%d sl=%d\n"
       (Gcs_stdx.Tape.length st.Vstoto.buffer)
       (Gcs_stdx.Tape.length st.Vstoto.delay)
-      (Gcs_stdx.Tape.length st.Vstoto.held)
-      (Gcs_stdx.Tape.length st.Vstoto.held_safe)
       (Proc.Map.cardinal st.Vstoto.gotstate)
       (Proc.Set.cardinal st.Vstoto.safe_exch)
       (Label.Set.cardinal st.Vstoto.safe_labels);

@@ -84,15 +84,6 @@ let node_state (s : Vstoto.state) =
   buf_add b ("ord=[" ^ labels (Gcs_stdx.Tape.to_list s.Vstoto.order) ^ "] ");
   buf_add b
     ("del=[" ^ String.concat "," (Gcs_stdx.Tape.to_list s.Vstoto.delay) ^ "] ");
-  buf_add b
-    ("held=["
-    ^ String.concat ","
-        (List.map
-           (fun (l, v) -> label l ^ "=" ^ v)
-           (Gcs_stdx.Tape.to_list s.Vstoto.held))
-    ^ "] ");
-  buf_add b
-    ("heldsf=[" ^ labels (Gcs_stdx.Tape.to_list s.Vstoto.held_safe) ^ "] ");
   buf_add b "con:";
   Label.Map.iter
     (fun l v -> buf_add b (label l ^ "=" ^ v ^ ";"))

@@ -28,4 +28,7 @@ val check_execution :
   (Vstoto_system.state, Sys_action.t) Gcs_automata.Exec.execution ->
   (unit, string) result
 (** Check the simulation step-by-step along a concrete execution
-    (operational Lemma 6.25 / Theorem 6.26). *)
+    (operational Lemma 6.25 / Theorem 6.26). A state on which {!f} or
+    {!corresponds} raises is a failure of the step that reached it:
+    [Error "simulation fails at step k on <action>: <reason>"], never an
+    exception. *)

@@ -22,8 +22,6 @@ type state = {
   gotstate : Summary.t Proc.Map.t;
   safe_exch : Proc.Set.t;
   safe_labels : Label.Set.t;
-  held : (Label.t * Value.t) Tape.t;
-  held_safe : Label.t Tape.t;
 }
 
 type params = {
@@ -31,11 +29,10 @@ type params = {
   p0 : Proc.t list;
   quorums : Quorum.t;
   literal_figure_10 : bool;
-  pipeline : bool;
 }
 
-let default_params ?(pipeline = false) ~me ~p0 ~quorums () =
-  { me; p0; quorums; literal_figure_10 = false; pipeline }
+let default_params ~me ~p0 ~quorums () =
+  { me; p0; quorums; literal_figure_10 = false }
 
 let initial params =
   let in_p0 = List.mem params.me params.p0 in
@@ -53,8 +50,6 @@ let initial params =
     gotstate = Proc.Map.empty;
     safe_exch = Proc.Set.empty;
     safe_labels = Label.Set.empty;
-    held = Tape.empty ();
-    held_safe = Tape.empty ();
   }
 
 let primary params state =
@@ -66,101 +61,61 @@ let summary_of_state state =
   Summary.make ~con:state.content ~ord:(Tape.to_list state.order)
     ~next:state.nextconfirm ~high:state.highprimary
 
-(* The corrected precondition of [label] (and, with [pipeline], of the
-   application-message [gpsnd]): normal processing — plus, when
-   pipelining, the collect phase, where our summary has already been sent
-   so newly labelled values can no longer leak into it (the Figure 10
-   erratum needs a label created BEFORE the summary send). *)
+(* The corrected precondition of [label]: normal processing (the Figure 10
+   erratum needs a label created before the summary send). *)
 let may_process params state =
-  params.literal_figure_10
-  || status_equal state.status Normal
-  || (params.pipeline && status_equal state.status Collect)
+  params.literal_figure_10 || status_equal state.status Normal
 
 (* Completion of the state exchange: the processor "establishes" the view
-   and resumes normal processing. With [pipeline], application messages
-   received during the exchange were held back; their content joins
-   [content] only now — never a summary's [con] — and their labels extend
-   the recomputed order, in receipt order, which is the same VS total
-   order at every member. *)
+   and resumes normal processing. *)
 let establish params state =
   let nextconfirm = Summary.maxnextconfirm state.gotstate in
-  let held = Tape.to_list state.held in
-  let content =
-    List.fold_left
-      (fun c (l, a) -> Label.Map.add l a c)
-      state.content held
-  in
-  let state = { state with content } in
-  let state =
-    if primary params state then
-      let current =
-        match state.current with
-        | Some v -> v
-        | None ->
-            (* [primary] already demands a current view, so a [None] here
-               is a protocol-logic bug; name the processor rather than
-               dying with an anonymous [Option.get]. *)
-            invalid_arg
-              (Printf.sprintf
-                 "Vstoto.establish: invariant violation at proc %d: \
-                  completing the state exchange with no current view"
-                 params.me)
-      in
-      let order =
-        List.fold_left
-          (fun t (l, _) -> Tape.snoc t l)
-          (Tape.of_list (Summary.fullorder state.gotstate))
-          held
-      in
-      {
-        state with
-        nextconfirm;
-        order;
-        safe_labels =
-          Tape.fold_left
-            (fun s l -> Label.Set.add l s)
-            state.safe_labels state.held_safe;
-        highprimary = Some current.View.id;
-        status = Normal;
-      }
-    else
-      {
-        state with
-        nextconfirm;
-        order = Tape.of_list (Summary.shortorder state.gotstate);
-        highprimary = Summary.maxprimary state.gotstate;
-        status = Normal;
-      }
-  in
-  { state with held = Tape.empty (); held_safe = Tape.empty () }
-
-(* Receiving an application message: with [pipeline], deliveries during
-   the state exchange are held until [establish]; otherwise the content
-   joins immediately and a primary extends its order. *)
-let receive_app params state entries =
-  if params.pipeline && not (status_equal state.status Normal) then
-    { state with held = Tape.append state.held entries }
-  else
-    let content =
-      List.fold_left
-        (fun c (l, a) -> Label.Map.add l a c)
-        state.content entries
+  if primary params state then
+    let current =
+      match state.current with
+      | Some v -> v
+      | None ->
+          (* [primary] already demands a current view, so a [None] here
+             is a protocol-logic bug; name the processor rather than
+             dying with an anonymous [Option.get]. *)
+          invalid_arg
+            (Printf.sprintf
+               "Vstoto.establish: invariant violation at proc %d: \
+                completing the state exchange with no current view"
+               params.me)
     in
-    let state = { state with content } in
-    if primary params state then
-      {
-        state with
-        order = List.fold_left (fun t (l, _) -> Tape.snoc t l) state.order entries;
-      }
-    else state
-
-let receive_safe_app params state entries =
-  if params.pipeline && not (status_equal state.status Normal) then
     {
       state with
-      held_safe = Tape.append state.held_safe (List.map fst entries);
+      nextconfirm;
+      order = Tape.of_list (Summary.fullorder state.gotstate);
+      highprimary = Some current.View.id;
+      status = Normal;
     }
-  else if primary params state then
+  else
+    {
+      state with
+      nextconfirm;
+      order = Tape.of_list (Summary.shortorder state.gotstate);
+      highprimary = Summary.maxprimary state.gotstate;
+      status = Normal;
+    }
+
+(* Receiving an application message: the content joins immediately and a
+   primary extends its order. *)
+let receive_app params state entries =
+  let content =
+    List.fold_left (fun c (l, a) -> Label.Map.add l a c) state.content entries
+  in
+  let state = { state with content } in
+  if primary params state then
+    {
+      state with
+      order = List.fold_left (fun t (l, _) -> Tape.snoc t l) state.order entries;
+    }
+  else state
+
+let receive_safe_app params state entries =
+  if primary params state then
     {
       state with
       safe_labels =
@@ -215,8 +170,7 @@ let transition params state action =
         | Msg.App (l, a) -> (
             match Tape.first state.buffer with
             | Some head
-              when (not (status_equal state.status Send))
-                   && (params.pipeline || status_equal state.status Normal)
+              when status_equal state.status Normal
                    && Label.equal head l
                    && (match Label.Map.find_opt l state.content with
                       | Some v -> Value.equal v a
@@ -225,8 +179,7 @@ let transition params state action =
             | _ -> None)
         | Msg.Batch entries ->
             if
-              (not (status_equal state.status Send))
-              && (params.pipeline || status_equal state.status Normal)
+              status_equal state.status Normal
               && (not (List.is_empty entries))
               && batch_matches_buffer state entries
             then Some { state with buffer = Tape.empty () }
@@ -326,8 +279,6 @@ let transition params state action =
             gotstate = Proc.Map.empty;
             safe_exch = Proc.Set.empty;
             safe_labels = Label.Set.empty;
-            held = Tape.empty ();
-            held_safe = Tape.empty ();
             status = Send;
           }
   | Sys_action.Vs (Vs_action.Createview _)
@@ -343,11 +294,7 @@ let enabled_label params state =
   | _ -> []
 
 let enabled_gpsnd_app params state =
-  let can_send =
-    (not (status_equal state.status Send))
-    && (params.pipeline || status_equal state.status Normal)
-  in
-  if not can_send then []
+  if not (status_equal state.status Normal) then []
   else
     match Tape.length state.buffer with
     | 0 -> []
@@ -539,10 +486,6 @@ let equal_state a b =
   && Proc.Map.equal Summary.equal a.gotstate b.gotstate
   && Proc.Set.equal a.safe_exch b.safe_exch
   && Label.Set.equal a.safe_labels b.safe_labels
-  && Tape.equal
-       (fun (l, v) (l', v') -> Label.equal l l' && Value.equal v v')
-       a.held b.held
-  && Tape.equal Label.equal a.held_safe b.held_safe
 
 let pp_status ppf = function
   | Normal -> Format.pp_print_string ppf "normal"

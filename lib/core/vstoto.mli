@@ -14,22 +14,21 @@
     (buggy) behaviour; the test suite demonstrates the resulting violation
     of TO.
 
-    Two throughput extensions, both conservative refinements of the
-    figure (DESIGN.md "Throughput engineering"):
+    One throughput extension, a conservative refinement of the figure
+    (DESIGN.md "Throughput engineering"): {b batching}. When several
+    labelled values are buffered, the processor [gpsnd]s them as a single
+    {!Msg.Batch} — semantically the sequence of its [App]s, delivered and
+    made safe element-wise in order. A batch is drawn from the buffer of
+    one view, so it never crosses a view boundary.
 
-    {ul
-    {- {b Batching}: when several labelled values are buffered, the
-       processor [gpsnd]s them as a single {!Msg.Batch} — semantically
-       the sequence of its [App]s, delivered and made safe element-wise
-       in order. A batch is drawn from the buffer of one view, so it
-       never crosses a view boundary.}
-    {- {b Pipelining} ([params.pipeline]): labelling and application
-       [gpsnd]/[gprcv] are also allowed during the [collect] phase of a
-       state exchange. Sending is safe there because our summary is
-       already fixed (the erratum needs a label created {e before} the
-       summary send); receiving holds the message back — content is
-       merged and the order extended only at [establish], so nothing
-       leaks into any summary's [con] and nothing is ordered twice.}} *)
+    The state exchange is not overlapped with new traffic: a processor
+    labels and sends application messages only once it has established
+    its view, so in the view's VS order every application message
+    follows every summary.
+    Lemma 6.20 (a label safe at a member of [g] is already in every
+    member's [buildorder\[q,g\]]) rests on that order; DESIGN.md
+    "Throughput engineering" gives the schedule that breaks it when
+    [Collect] may label. *)
 
 module Tape = Gcs_stdx.Tape
 
@@ -53,11 +52,6 @@ type state = {
   gotstate : Summary.t Proc.Map.t;
   safe_exch : Proc.Set.t;
   safe_labels : Label.Set.t;
-  held : (Label.t * Value.t) Tape.t;
-      (** pipeline: application messages received during a state
-          exchange, applied at [establish] *)
-  held_safe : Label.t Tape.t;
-      (** pipeline: safe notifications received during a state exchange *)
 }
 
 type params = {
@@ -66,14 +60,11 @@ type params = {
   quorums : Quorum.t;
   literal_figure_10 : bool;
       (** allow [label] in any status, as the figure literally reads *)
-  pipeline : bool;
-      (** overlap the state exchange with labelling and delivery *)
 }
 
 val default_params :
-  ?pipeline:bool -> me:Proc.t -> p0:Proc.t list -> quorums:Quorum.t -> unit ->
-  params
-(** [pipeline] defaults to [false]: the verified base algorithm. *)
+  me:Proc.t -> p0:Proc.t list -> quorums:Quorum.t -> unit -> params
+(** The corrected algorithm: [literal_figure_10 = false]. *)
 
 val initial : params -> state
 

@@ -22,7 +22,6 @@ let node_params params p =
     p0 = params.p0;
     quorums = params.quorums;
     literal_figure_10 = false;
-    pipeline = false;
   }
 
 let node state p = Proc.Map.find p state.nodes

@@ -18,12 +18,11 @@ type params = {
   quorums : Quorum.t;
   literal_figure_10 : bool;
   weak_vs : bool;
-  pipeline : bool;
 }
 
-let make_params ?(literal_figure_10 = false) ?(weak_vs = false)
-    ?(pipeline = false) ~procs ~p0 ~quorums () =
-  { procs; p0; quorums; literal_figure_10; weak_vs; pipeline }
+let make_params ?(literal_figure_10 = false) ?(weak_vs = false) ~procs ~p0
+    ~quorums () =
+  { procs; p0; quorums; literal_figure_10; weak_vs }
 
 let vs_params params =
   {
@@ -39,7 +38,6 @@ let node_params params p =
     p0 = params.p0;
     quorums = params.quorums;
     literal_figure_10 = params.literal_figure_10;
-    pipeline = params.pipeline;
   }
 
 let node state p = Proc.Map.find p state.nodes

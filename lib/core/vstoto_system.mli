@@ -28,14 +28,11 @@ type params = {
       (** compose with WeakVS-machine instead of VS-machine (Section 4.1
           Remark: the two have the same finite traces, so the safety
           results are unaffected) *)
-  pipeline : bool;
-      (** run every node automaton with [Vstoto.params.pipeline] *)
 }
 
 val make_params :
   ?literal_figure_10:bool ->
   ?weak_vs:bool ->
-  ?pipeline:bool ->
   procs:Proc.t list ->
   p0:Proc.t list ->
   quorums:Quorum.t ->

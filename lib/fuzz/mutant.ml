@@ -99,26 +99,46 @@ let gprcv_src = function
 let reorder_gprcv : t =
   {
     name = "reorder-gprcv";
-    doc = "two same-sender VS deliveries within a view are swapped";
+    doc = "two same-sender VS deliveries at a node are swapped";
     expected_checks = [ "vs-conformance" ];
     instrument =
       (fun _config h ->
-        once
-          (fun _me st es ->
-            if To_service.node_views_installed st < 2 then None
+        (* The first gprcv a node emits once it has installed two views
+           trades places with the next gprcv from the same sender: in the
+           same handler step when there is one, else it is held back and
+           emitted right after that gprcv in a later step. A member sends
+           nothing between its summary and its establish, so two
+           deliveries from one sender rarely share a step. *)
+        let held = ref None and fired = ref false in
+        let same_src first e =
+          match (gprcv_src first, gprcv_src e) with
+          | Some a, Some b -> Proc.equal a b
+          | _ -> false
+        in
+        Gcs_conformance.Service.rewrite
+          (fun me st es ->
+            if !fired then es
             else
-              match split_at (fun e -> Option.is_some (gprcv_src e)) es with
-              | Some (before, first, rest) -> (
-                  let same_src e =
-                    match (gprcv_src first, gprcv_src e) with
-                    | Some a, Some b -> Proc.equal a b
-                    | _ -> false
-                  in
-                  match split_at same_src rest with
-                  | Some (mid, second, after) ->
-                      Some (before @ (second :: mid) @ (first :: after))
-                  | None -> None)
-              | None -> None)
+              match !held with
+              | Some (p, first) -> (
+                  match split_at (same_src first) es with
+                  | Some (before, second, after) when Proc.equal p me ->
+                      fired := true;
+                      before @ (second :: first :: after)
+                  | Some _ | None -> es)
+              | None -> (
+                  if To_service.node_views_installed st < 2 then es
+                  else
+                    match split_at (fun e -> Option.is_some (gprcv_src e)) es with
+                    | None -> es
+                    | Some (before, first, rest) -> (
+                        match split_at (same_src first) rest with
+                        | Some (mid, second, after) ->
+                            fired := true;
+                            before @ (second :: mid) @ (first :: after)
+                        | None ->
+                            held := Some (me, first);
+                            before @ rest)))
           h);
   }
 

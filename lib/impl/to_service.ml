@@ -5,18 +5,16 @@ type config = {
   vs : Vs_node.config;
   quorums : Quorum.t;
   stable_storage_latency : float option;
-  pipeline : bool;
   batch_window : float option;
 }
 
-let make_config ?stable_storage_latency ?quorums ?(pipeline = true)
-    ?batch_window vs =
+let make_config ?stable_storage_latency ?quorums ?batch_window vs =
   let quorums =
     match quorums with
     | Some q -> q
     | None -> Quorum.majorities ~n:(List.length vs.Vs_node.procs)
   in
-  { vs; quorums; stable_storage_latency; pipeline; batch_window }
+  { vs; quorums; stable_storage_latency; batch_window }
 
 let bounds config =
   let vs = config.vs in
@@ -70,7 +68,6 @@ let node_params config me =
     p0 = config.vs.Vs_node.p0;
     quorums = config.quorums;
     literal_figure_10 = false;
-    pipeline = config.pipeline;
   }
 
 let apply_app params action app =

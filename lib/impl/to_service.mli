@@ -35,29 +35,27 @@ open Gcs_core
        bounds how long a value stays staged when no token comes. With a
        [stable_storage_latency] every value is staged for the write (and
        window) regardless. [None] submits immediately (one [App] per
-       value).}
-    {- [pipeline]: run the VStoTO automata with [Vstoto.params.pipeline],
-       overlapping the post-view-change state exchange with labelling and
-       delivery.}} *)
+       value).}}
+
+    The automata run the state exchange of the paper unchanged: a node
+    labels and sends nothing new between a [newview] and the completion
+    of its exchange (see {!Vstoto} for why there is no pipelining). *)
 
 type config = {
   vs : Vs_node.config;
   quorums : Quorum.t;
   stable_storage_latency : float option;
-  pipeline : bool;
   batch_window : float option;
 }
 
 val make_config :
   ?stable_storage_latency:float ->
   ?quorums:Quorum.t ->
-  ?pipeline:bool ->
   ?batch_window:float ->
   Vs_node.config ->
   config
-(** Quorums default to majorities over the VS configuration's processors.
-    [pipeline] defaults to [true] (the refinement is oracle-checked by the
-    same conformance suite); [batch_window] defaults to [None]. *)
+(** Quorums default to majorities over the VS configuration's processors;
+    [batch_window] defaults to [None]. *)
 
 val bounds : config -> float * float
 (** [(b', d')] for the Theorem 7.1 shape, from this implementation's

@@ -144,7 +144,7 @@ let pp_line ppf o =
     (match o.failure with None -> "PASS" | Some (check, _) -> "FAIL " ^ check)
 
 let to_json outcome =
-  let int k = Jsonx.Num (float_of_int k) in
+  let int = Jsonx.int in
   Jsonx.encode
     (Jsonx.Obj
        [

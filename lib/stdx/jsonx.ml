@@ -201,9 +201,12 @@ let escape_to buf s =
     s
 
 (* Integral values print without an exponent or fraction; everything
-   else prints with enough digits to round-trip through of_string. *)
+   else prints with enough digits to round-trip through of_string. JSON
+   has no NaN or infinity: a non-finite number (say, a quantile of no
+   samples) prints as null. *)
 let number_str f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
 let rec write buf = function
@@ -239,6 +242,8 @@ let encode t =
   let buf = Buffer.create 256 in
   write buf t;
   Buffer.contents buf
+
+let int i = Num (float_of_int i)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

@@ -19,7 +19,12 @@ val of_string : string -> (t, string) result
 
 val encode : t -> string
 (** Render as compact (single-line) JSON. [of_string (encode v)] is
-    [Ok v] up to float formatting; strings escape per RFC 8259. *)
+    [Ok v] up to float formatting, except that a non-finite [Num] (NaN,
+    an infinity) renders as [null], so the output is always valid JSON;
+    strings escape per RFC 8259. *)
+
+val int : int -> t
+(** [Num] of an integer. *)
 
 (** {2 Accessors} — [None] on kind mismatch. *)
 

@@ -7,9 +7,12 @@
    repro files all depend on simulated behaviour staying byte-identical.
    A deliberate behaviour change re-records them and says so: the
    VStoTO digests, counts and fuzz stats were re-recorded when the
-   leader began launching the token on a member's [Want], and the
+   leader began launching the token on a member's [Want], the
    vstoto-sequencer campaign when every simulated pair began adding the
-   candidate's coverage to the reference's. *)
+   candidate's coverage to the reference's, and the four VStoTO fuzz
+   campaigns when the VStoTO snapshot lost its pipelining fields (its
+   text feeds the fuzzy state-hash features; every simulated run is
+   unchanged). *)
 
 open Gcs_core
 open Gcs_impl
@@ -205,9 +208,9 @@ let check_fuzz label ~stats ~corpus ~features outcome =
 let test_fuzz_services () =
   check_fuzz "vstoto"
     ~stats:
-      {|{"execs":60,"rounds":7,"corpus":51,"features":1441,"failures":0,"failure":null}|}
-    ~corpus:"8efba5b70e3560482b2d89b2e3a52585"
-    ~features:"ab8da837e3ddf3b2f77e9b6d7e9dfb70"
+      {|{"execs":60,"rounds":7,"corpus":49,"features":1345,"failures":0,"failure":null}|}
+    ~corpus:"f4df6e189e531defa51898ae757e1c03"
+    ~features:"4ac0faaab87a80d8099c53d62f749049"
     (Fuzz.run ~jobs:1 ~config:fuzz_config ~seed:11 ~execs:60 ());
   check_fuzz "skeen"
     ~stats:
@@ -222,16 +225,16 @@ let pair name = Option.get (Differential.of_name name)
 let test_fuzz_pairs () =
   check_fuzz "vstoto-skeen"
     ~stats:
-      {|{"execs":40,"rounds":5,"corpus":35,"features":1967,"failures":0,"failure":null}|}
-    ~corpus:"17c7a99b941575fd8af009955ec09c34"
-    ~features:"1daa2957f3d9c1bea69cfa1d5afbc62e"
+      {|{"execs":40,"rounds":5,"corpus":33,"features":1928,"failures":0,"failure":null}|}
+    ~corpus:"49bbaa9e26215a6a9fa8c5161a63780c"
+    ~features:"b29e6a81e9ad09603db6e34ca287f808"
     (Fuzz.run ~pair:(pair "vstoto-skeen") ~jobs:1 ~config:fuzz_config
        ~seed:11 ~execs:40 ());
   check_fuzz "vstoto-sequencer"
     ~stats:
-      {|{"execs":40,"rounds":5,"corpus":26,"features":556,"failures":0,"failure":null}|}
-    ~corpus:"ff397ee2271d38d61aa4e0f34c266752"
-    ~features:"34a28dc2508b1aae99e58c5aabebd0f2"
+      {|{"execs":40,"rounds":5,"corpus":26,"features":597,"failures":0,"failure":null}|}
+    ~corpus:"a3aff8b0f659637dc44f381541edc4f8"
+    ~features:"d0833a836c339b0354fb9e3b0232b74e"
     (Fuzz.run ~pair:(pair "vstoto-sequencer") ~jobs:1 ~config:fuzz_config
        ~seed:11 ~execs:40 ())
 
@@ -239,9 +242,9 @@ let test_fuzz_mutants () =
   let mutant name = Option.get (Mutant.find name) in
   check_fuzz "dup-delivery"
     ~stats:
-      {|{"execs":12,"rounds":1,"corpus":9,"features":471,"failures":1,"failure":{"check":"to-conformance","events":12,"shrunk_events":5,"shrink_execs":23}}|}
+      {|{"execs":12,"rounds":1,"corpus":9,"features":455,"failures":1,"failure":{"check":"to-conformance","events":12,"shrunk_events":5,"shrink_execs":23}}|}
     ~corpus:"ba752bed630d00bfa27b738fd17c06ec"
-    ~features:"e920501abfe22cc4995a4b640164e0f5"
+    ~features:"8c1f48d04d5616acd4e3f9a81c916cc9"
     (Fuzz.run ~mutant:(mutant "dup-delivery") ~jobs:1 ~config:fuzz_config
        ~seed:7 ~execs:200 ~shrink_budget:100 ());
   check_fuzz "skeen-commit-skew"

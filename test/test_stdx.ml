@@ -408,6 +408,32 @@ let test_jsonx_accessors () =
       Alcotest.(check bool) "missing member" true
         (Gcs_stdx.Jsonx.member "zz" v = None)
 
+(* Encoding then parsing gives the value back; a non-finite number has
+   no JSON form and comes back as null. *)
+let test_jsonx_round_trip () =
+  let open Gcs_stdx.Jsonx in
+  let back v =
+    match of_string (encode v) with
+    | Ok v' -> v'
+    | Error e -> Alcotest.failf "%s does not parse: %s" (encode v) e
+  in
+  let v =
+    Obj
+      [
+        ("s", Str "a\"b\\c\n\x01");
+        ("xs", Arr [ Num 1.0; Num (-0.1); Num 1e300; Num 3.25e-7; Null ]);
+        ("b", Bool false);
+        ("o", Obj [ ("k", Arr []) ]);
+      ]
+  in
+  Alcotest.check jx "finite values round-trip" v (back v);
+  Alcotest.(check string) "non-finite numbers encode as null"
+    {|[null,null,null]|}
+    (encode (Arr [ Num Float.nan; Num Float.infinity; Num Float.neg_infinity ]));
+  Alcotest.check jx "and parse back as null"
+    (Obj [ ("latency_p50", Null) ])
+    (back (Obj [ ("latency_p50", Num Float.nan) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Graphx: the cycle detector under both lock-order analyses. *)
 
@@ -514,6 +540,7 @@ let () =
           Alcotest.test_case "rejects malformed input" `Quick
             test_jsonx_rejects;
           Alcotest.test_case "accessors" `Quick test_jsonx_accessors;
+          Alcotest.test_case "round trip" `Quick test_jsonx_round_trip;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -2,7 +2,8 @@
    - the Section 6.1 invariants (Lemmas 6.1-6.24) on random executions,
    - the forward simulation to TO-machine (Lemma 6.25 / Theorem 6.26),
    - acceptance of the client-level trace by the TO trace checker,
-   - the Figure 10 label-precondition erratum (see DESIGN.md). *)
+   - the Figure 10 label-precondition erratum (see DESIGN.md),
+   - the scripted schedule that broke the pipelined state exchange. *)
 
 open Gcs_automata
 open Gcs_core
@@ -28,12 +29,31 @@ let run ?(steps = 350) ?(params = params) ?(automaton = automaton) seed =
 
 let seeds = List.init 15 (fun i -> i)
 
+(* The fuzzer's node-local oracle ([Oracle.vstoto_invariants]), checked
+   at every node of a system state. *)
+let node_oracle (params : Vstoto_system.params) =
+  List.map
+    (fun (inv : Vstoto.state Invariant.t) ->
+      Invariant.make_explained ("node " ^ inv.Invariant.name) (fun st ->
+          match
+            List.find_map
+              (fun p ->
+                match inv.Invariant.check (Vstoto_system.node st p) with
+                | Ok () -> None
+                | Error detail -> Some (Printf.sprintf "proc %d: %s" p detail))
+              params.Vstoto_system.procs
+          with
+          | None -> Ok ()
+          | Some detail -> Error detail))
+    Gcs_conformance.Oracle.vstoto_invariants
+
+let all_invariants params = Vstoto_invariants.all params @ node_oracle params
+
 let test_invariants () =
   match
     Invariant.check_random automaton
       ~scheduler:(scheduler params automaton)
-      ~seeds ~steps:350
-      (Vstoto_invariants.all params)
+      ~seeds ~steps:350 (all_invariants params)
   with
   | None -> ()
   | Some (v, seed) ->
@@ -235,59 +255,214 @@ let test_fixed_label_precondition_sound () =
       | Error msg -> Alcotest.failf "seed %d: %s" seed msg)
     tried
 
-(* Pipelining (DESIGN.md "Throughput engineering"): with
-   [params.pipeline], labelling and application gpsnd/gprcv are also
-   allowed during the collect phase of a state exchange; received
-   application messages are held back and applied at establishment. The
-   refinement must preserve the Section 6 invariants, the forward
-   simulation, and TO at the trace level — under schedules with view
-   changes, which is where pipelining actually fires. *)
+(* ------------------------------------------------------------------ *)
+(* The state-exchange counterexample (DESIGN.md "Throughput engineering",
+   EXPERIMENTS X30). Five processors, all in P0, majority quorums. The
+   script lists the actions it intends; each is taken only if it is
+   enabled. While members could label and send during their exchange
+   (the deleted pipelining), p1's App(l) was ordered between the
+   summaries of p0/p1 and those of p2-p4; p0 confirmed l with two
+   summaries safe and delivered "a" at position 1, and the primary
+   {2,3,4} later delivered "b" there. Lemma 6.20 failed from step 44
+   and the confirm prefixes diverged. Now p1 labels only once it has
+   established, so App(l) follows every summary. *)
 
-let pipeline_params =
-  Vstoto_system.make_params ~pipeline:true ~procs ~p0 ~quorums ()
+let cx_procs = Proc.all ~n:5
 
-let pipeline_automaton = Vstoto_system.automaton pipeline_params
+let cx_params =
+  Vstoto_system.make_params ~procs:cx_procs ~p0:cx_procs
+    ~quorums:(Quorum.majorities ~n:5) ()
 
-let run_pipeline ?(steps = 350) seed =
-  Exec.run pipeline_automaton
-    ~scheduler:(scheduler pipeline_params pipeline_automaton)
-    ~steps
-    ~prng:(Gcs_stdx.Prng.create seed)
+type intent =
+  | Input of Sys_action.t  (** an input or [createview], if enabled *)
+  | Pick of (Sys_action.t -> bool)  (** the first enabled match, if any *)
 
-let test_pipeline_invariants () =
-  match
-    Invariant.check_random pipeline_automaton
-      ~scheduler:(scheduler pipeline_params pipeline_automaton)
-      ~seeds ~steps:350
-      (Vstoto_invariants.all pipeline_params)
-  with
-  | None -> ()
-  | Some (v, seed) ->
-      Alcotest.failf "pipeline: %s violated at step %d (seed %d): %s"
-        v.Invariant.invariant v.Invariant.step_index seed v.Invariant.detail
+let g1 = View_id.make ~num:1 ~origin:0
+let v1 = View.make g1 cx_procs
+let v2 = View.make (View_id.make ~num:2 ~origin:2) [ 2; 3; 4 ]
 
-let test_pipeline_simulation_and_trace () =
-  let to_params = To_simulation.abstract_params pipeline_params in
-  List.iter
-    (fun seed ->
-      let e = run_pipeline ~steps:500 seed in
-      (match To_simulation.check_execution pipeline_params e with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "pipeline seed %d: %s" seed msg);
-      match To_trace_checker.check to_params (client_trace e) with
-      | Ok () -> ()
-      | Error err ->
-          Alcotest.failf "pipeline seed %d: %s" seed
-            (Format.asprintf "%a" To_trace_checker.pp_error err))
-    seeds
-
-let test_pipeline_progress () =
-  let total =
-    List.fold_left
-      (fun acc seed -> acc + count_deliveries (run_pipeline seed))
-      0 seeds
+let counterexample_script =
+  let vs pred = Pick (function Sys_action.Vs a -> pred a | _ -> false) in
+  let newview v p =
+    vs (function
+      | Vs_action.Newview { proc; view } -> proc = p && View.equal view v
+      | _ -> false)
   in
-  Alcotest.(check bool) "pipelined runs deliver" true (total > 0)
+  let summary p =
+    vs (function
+      | Vs_action.Gpsnd { sender; msg = Msg.Summary _ } -> sender = p
+      | _ -> false)
+  in
+  let app p =
+    vs (function
+      | Vs_action.Gpsnd { sender; msg = Msg.App _ | Msg.Batch _ } -> sender = p
+      | _ -> false)
+  in
+  let order p =
+    vs (function Vs_action.Vs_order { sender; _ } -> sender = p | _ -> false)
+  in
+  let gprcv q =
+    vs (function Vs_action.Gprcv { dst; _ } -> dst = q | _ -> false)
+  in
+  let safe q = vs (function Vs_action.Safe { dst; _ } -> dst = q | _ -> false) in
+  let label p =
+    Pick (function Sys_action.Label_act (q, _) -> q = p | _ -> false)
+  in
+  let confirm p = Pick (function Sys_action.Confirm q -> q = p | _ -> false) in
+  let brcv p =
+    Pick (function Sys_action.Brcv { dst; _ } -> dst = p | _ -> false)
+  in
+  let times k i = List.init k (fun _ -> i) in
+  let each ps f = List.concat_map f ps in
+  List.concat
+    [
+      (* 1. v1 = <g1, {0..4}> at all five members. *)
+      [ Input (Sys_action.Vs (Vs_action.Createview v1)) ];
+      each cx_procs (fun p -> [ newview v1 p ]);
+      (* 2. p0's and p1's summaries, sent and ordered. *)
+      each [ 0; 1 ] (fun p -> [ summary p; order p ]);
+      (* 3. bcast(1,"a"): p1, in collect, would label and send it here. *)
+      [ Input (Sys_action.Bcast (1, "a")); label 1; app 1; order 1 ];
+      (* 4. p2-p4's summaries. *)
+      each [ 2; 3; 4 ] (fun p -> [ summary p; order p ]);
+      (* 5. p0 and p1 receive six messages, p2-p4 the first three. *)
+      each [ 0; 1 ] (fun q -> times 6 (gprcv q));
+      each [ 2; 3; 4 ] (fun q -> times 3 (gprcv q));
+      (* p1, established now, labels and sends "a". *)
+      [ label 1; app 1; order 1 ];
+      (* 6. p0: three safes, then confirm and deliver what it may. *)
+      times 3 (safe 0);
+      [ confirm 0; brcv 0 ];
+      (* 7. v2 = <g2, {2,3,4}>, a primary: 3 of 5. *)
+      [ Input (Sys_action.Vs (Vs_action.Createview v2)) ];
+      each [ 2; 3; 4 ] (fun p -> [ newview v2 p ]);
+      (* 8. p2-p4 exchange summaries; bcast(3,"b") is labelled, sent,
+         made safe, and p2 delivers it. *)
+      each [ 2; 3; 4 ] (fun p -> [ summary p; order p ]);
+      each [ 2; 3; 4 ] (fun q -> times 3 (gprcv q));
+      each [ 2; 3; 4 ] (fun q -> times 3 (safe q));
+      [ Input (Sys_action.Bcast (3, "b")); label 3; app 3; order 3 ];
+      each [ 2; 3; 4 ] (fun q -> [ gprcv q ]);
+      each [ 2; 3; 4 ] (fun q -> [ safe q ]);
+      [ confirm 2; brcv 2 ];
+    ]
+
+let run_script params script =
+  let automaton = Vstoto_system.automaton params in
+  let take state = function
+    | Input action -> Some action
+    | Pick pred -> List.find_opt pred (automaton.Automaton.enabled state)
+  in
+  let _, steps_rev =
+    List.fold_left
+      (fun (state, steps_rev) intent ->
+        match
+          Option.bind (take state intent) (fun action ->
+              Option.map
+                (fun post -> { Exec.pre = state; action; post })
+                (automaton.Automaton.transition state action))
+        with
+        | None -> (state, steps_rev)
+        | Some step -> (step.Exec.post, step :: steps_rev))
+      (automaton.Automaton.initial, [])
+      script
+  in
+  { Exec.init = automaton.Automaton.initial; steps = List.rev steps_rev }
+
+(* No two members report different labels at the same position. *)
+let reports_agree (params : Vstoto_system.params) =
+  Invariant.make_explained "reported orders consistent" (fun st ->
+      let reported p =
+        let n = Vstoto_system.node st p in
+        Gcs_stdx.Seqx.take (n.Vstoto.nextreport - 1)
+          (Gcs_stdx.Tape.to_list n.Vstoto.order)
+      in
+      let procs = params.Vstoto_system.procs in
+      let disagree p q =
+        not
+          (Gcs_stdx.Seqx.consistent ~equal:Label.equal (reported p)
+             (reported q))
+      in
+      match
+        List.find_map
+          (fun p ->
+            Option.map (fun q -> (p, q)) (List.find_opt (disagree p) procs))
+          procs
+      with
+      | None -> Ok ()
+      | Some (p, q) -> Error (Printf.sprintf "procs %d and %d disagree" p q))
+
+let test_exchange_counterexample () =
+  let e = run_script cx_params counterexample_script in
+  (match
+     Invariant.first_violation
+       (reports_agree cx_params :: all_invariants cx_params)
+       e
+   with
+  | None -> ()
+  | Some v ->
+      Alcotest.failf "%s violated at step %d: %s" v.Invariant.invariant
+        v.Invariant.step_index v.Invariant.detail);
+  (match To_simulation.check_execution cx_params e with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let final = Exec.final e in
+  (* p1 sent App(l) once established: it follows every summary of g1. *)
+  let queue =
+    Option.value ~default:[]
+      (View_id.Map.find_opt g1 final.Vstoto_system.vs.Vs_machine.queue)
+  in
+  Alcotest.(check (list string))
+    "g1's VS order: five summaries, then p1's App"
+    [ "S0"; "S1"; "S2"; "S3"; "S4"; "A1" ]
+    (List.map
+       (fun (m, p) ->
+         match m with
+         | Msg.Summary _ -> Printf.sprintf "S%d" p
+         | Msg.App _ | Msg.Batch _ -> Printf.sprintf "A%d" p)
+       queue);
+  Alcotest.(check int) "p0 delivered nothing" 1
+    (Vstoto_system.node final 0).Vstoto.nextreport;
+  Alcotest.(check (list string)) "p2 delivered b" [ "b" ]
+    (List.filter_map
+       (function
+         | Sys_action.Brcv { dst = 2; value; _ } -> Some value | _ -> None)
+       (Exec.actions e))
+
+(* A post-state whose two nodes confirmed different labels at position 1
+   has no abstraction ([allconfirm] is inconsistent): the check names the
+   step instead of raising. *)
+let test_simulation_error_not_raise () =
+  let init = automaton.Automaton.initial in
+  let confirmed l value node =
+    {
+      node with
+      Vstoto.content = Label.Map.add l value node.Vstoto.content;
+      order = Gcs_stdx.Tape.of_list [ l ];
+      nextconfirm = 2;
+    }
+  in
+  let l0 = Label.make ~id:View_id.g0 ~seqno:1 ~origin:0 in
+  let l1 = Label.make ~id:View_id.g0 ~seqno:1 ~origin:1 in
+  let nodes =
+    init.Vstoto_system.nodes
+    |> Proc.Map.update 0 (Option.map (confirmed l0 "x"))
+    |> Proc.Map.update 1 (Option.map (confirmed l1 "y"))
+  in
+  let step =
+    {
+      Exec.pre = init;
+      action = Sys_action.Confirm 0;
+      post = { init with Vstoto_system.nodes };
+    }
+  in
+  match To_simulation.check_execution params { Exec.init; steps = [ step ] } with
+  | Ok () -> Alcotest.fail "conflicting confirms simulated"
+  | Error msg ->
+      Alcotest.(check string) "reported as a step failure"
+        "simulation fails at step 1 on confirm_0: to_simulation: \
+         inconsistent confirm prefixes"
+        msg
 
 (* Section 4.1 Remark: WeakVS-machine and VS-machine have the same finite
    traces, so the VStoTO safety results hold over WeakVS too. We compose
@@ -324,9 +499,7 @@ let test_weak_vs_composition () =
   List.iter
     (fun seed ->
       let e = run_weak seed in
-      (match
-         Invariant.first_violation (Vstoto_invariants.all weak_params) e
-       with
+      (match Invariant.first_violation (all_invariants weak_params) e with
       | None -> ()
       | Some v ->
           Alcotest.failf "weak seed %d: %s at step %d: %s" seed
@@ -340,17 +513,16 @@ let prop_invariants_hold =
   QCheck.Test.make ~name:"Section 6 invariants on random executions" ~count:10
     QCheck.small_nat
     (fun seed ->
-      Invariant.first_violation (Vstoto_invariants.all params)
+      Invariant.first_violation (all_invariants params)
         (run ~steps:250 (seed + 500))
       = None)
 
 (* The one-pass drain against the specification: from node states of
-   random system executions (with and without pipelining), plus the same
-   states with values waiting in [delay] and with all or half of the
-   ordered labels made safe (so confirms are pending), [Vstoto.drain]
-   must reach the
-   same state and emit the same gpsnd/brcv actions as stepping the first
-   enabled action of [Vstoto.automaton] one at a time. *)
+   random system executions, plus the same states with values waiting in
+   [delay] and with all or half of the ordered labels made safe (so
+   confirms are pending), [Vstoto.drain] must reach the same state and
+   emit the same gpsnd/brcv actions as stepping the first enabled action
+   of [Vstoto.automaton] one at a time. *)
 
 let step_drain params state =
   let a = Vstoto.automaton params in
@@ -395,12 +567,8 @@ let drain_variants params state =
   [ state; delayed; all_safe state; half_safe state; all_safe delayed ]
 
 (* Node states (with their params) of one random execution. *)
-let sampled_nodes ~pipeline seed =
-  let params, automaton =
-    if pipeline then (pipeline_params, pipeline_automaton)
-    else (params, automaton)
-  in
-  let e = run ~steps:250 ~params ~automaton seed in
+let sampled_nodes seed =
+  let e = run ~steps:250 seed in
   List.concat_map
     (fun st ->
       List.map
@@ -419,21 +587,13 @@ let drain_agrees (params, state) =
 
 let prop_drain_matches_stepping =
   QCheck.Test.make ~name:"one-pass drain equals stepping the automaton"
-    ~count:50
-    QCheck.(pair small_nat bool)
-    (fun (seed, pipeline) ->
-      List.for_all drain_agrees (sampled_nodes ~pipeline (seed + 900)))
+    ~count:50 QCheck.small_nat
+    (fun seed -> List.for_all drain_agrees (sampled_nodes (seed + 900)))
 
 (* The sampled states reach the cases the runs exist for: a state
-   exchange in progress (both phases) with values waiting, and, with
-   pipelining, labelling resumed during collect. *)
+   exchange in progress (both phases) with values waiting. *)
 let test_drain_samples_cover_exchange () =
-  let nodes =
-    List.concat_map
-      (fun seed ->
-        sampled_nodes ~pipeline:false seed @ sampled_nodes ~pipeline:true seed)
-      [ 900; 901; 902; 903; 904 ]
-  in
+  let nodes = List.concat_map sampled_nodes [ 900; 901; 902; 903; 904 ] in
   let count pred = List.length (List.filter pred nodes) in
   let status st (_, s) = Vstoto.status_equal s.Vstoto.status st in
   Alcotest.(check bool) "send states sampled" true (count (status Vstoto.Send) > 0);
@@ -460,15 +620,13 @@ let () =
             test_view_change_recovery_delivers;
           Alcotest.test_case "WeakVS composition (4.1 Remark)" `Slow
             test_weak_vs_composition;
+          Alcotest.test_case "simulation failure is an Error, not a raise"
+            `Quick test_simulation_error_not_raise;
         ] );
-      ( "pipeline",
+      ( "exchange",
         [
-          Alcotest.test_case "invariants hold with pipelining" `Slow
-            test_pipeline_invariants;
-          Alcotest.test_case "simulation + TO trace with pipelining" `Quick
-            test_pipeline_simulation_and_trace;
-          Alcotest.test_case "pipelined runs deliver" `Quick
-            test_pipeline_progress;
+          Alcotest.test_case "scripted pipelining counterexample" `Quick
+            test_exchange_counterexample;
         ] );
       ( "erratum",
         [
