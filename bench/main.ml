@@ -18,7 +18,9 @@
              dune exec bench/main.exe -- --jobs 4     (parallel sweeps)
              dune exec bench/main.exe -- --json FILE  (machine-readable results)
              dune exec bench/main.exe -- --only X19      (a single section)
-             dune exec bench/main.exe -- --only X19,X20  (a comma-set of them) *)
+             dune exec bench/main.exe -- --only X19,X20  (a comma-set of them)
+             dune exec bench/main.exe -- --quick --jobs 2 --check-drift BENCH.json
+                                                        (the CI drift gate) *)
 
 open Gcs_core
 open Gcs_impl
@@ -809,51 +811,42 @@ let x18 () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* X19: bus transport throughput — wall-clock msgs/sec through the real
-   multi-domain backend (the one number in this file measured in real
-   seconds, everything else being simulated time). Two levels: the raw
-   transport (a relay flood between two domains keeping a window of
-   packets in flight, measuring the serialize → mailbox → deserialize →
-   handle path), and the full VStoTO stack over the bus (token-limited
-   client throughput, the rate a replicated application actually sees). *)
+(* X19: raw bus transport throughput — wall-clock msgs/sec of a relay
+   flood between two domains keeping a window of packets in flight,
+   measuring the serialize → mailbox → deserialize → handle path with no
+   protocol on top. The full VStoTO stack over the bus is X20's
+   unbatched bus row. *)
 
 let wall_now () = (Unix.gettimeofday [@gcs.lint.allow "D2"]) ()
 
-(* Observe and stop hooks that end a VStoTO run once every node has
-   delivered the whole workload. *)
-let drained config workload =
-  Gcs_conformance.Service.drained
-    (module Gcs_conformance.Services.Vstoto)
-    config ~workload ~after:Float.neg_infinity
-
 let x19 () =
-  row "%12s %4s %10s %10s %10s %14s\n" "mode" "n" "wall s" "packets" "client"
-    "msgs/sec";
+  row "%12s %4s %10s %10s %14s\n" "mode" "n" "wall s" "packets" "msgs/sec";
   let module I = Gcs_transport.Iface in
-  let raw ~window ~until =
-    let handlers =
-      {
-        I.on_start =
-          (fun me s ->
-            if me = 0 then
-              (s, List.init window (fun _ -> I.Send { dst = 1; packet = "ping" }))
-            else (s, []));
-        on_input = (fun _ ~now:_ () s -> (s, []));
-        on_packet =
-          (fun _me ~now:_ ~src packet s -> (s, [ I.Send { dst = src; packet } ]));
-        on_timer = (fun _ ~now:_ ~id:_ s -> (s, []));
-      }
-    in
-    let t0 = wall_now () in
-    let result =
-      Gcs_transport.Bus.run I.string_codec ~procs:(Proc.all ~n:2) ~handlers
-        ~init:(fun _ -> ())
-        ~inputs:[] ~failures:[] ~until ~seed:3
-    in
-    let wall = wall_now () -. t0 in
-    let rate = float_of_int result.I.packets_sent /. wall in
-    row "%12s %4d %10.2f %10d %10s %14.0f\n" "raw-relay" 2 wall
-      result.I.packets_sent "-" rate;
+  let window = 32 in
+  let handlers =
+    {
+      I.on_start =
+        (fun me s ->
+          if me = 0 then
+            (s, List.init window (fun _ -> I.Send { dst = 1; packet = "ping" }))
+          else (s, []));
+      on_input = (fun _ ~now:_ () s -> (s, []));
+      on_packet =
+        (fun _me ~now:_ ~src packet s -> (s, [ I.Send { dst = src; packet } ]));
+      on_timer = (fun _ ~now:_ ~id:_ s -> (s, []));
+    }
+  in
+  let t0 = wall_now () in
+  let result =
+    Gcs_transport.Bus.run I.string_codec ~procs:(Proc.all ~n:2) ~handlers
+      ~init:(fun _ -> ())
+      ~inputs:[] ~failures:[] ~until:2.0 ~seed:3
+  in
+  let wall = wall_now () -. t0 in
+  let rate = float_of_int result.I.packets_sent /. wall in
+  row "%12s %4d %10.2f %10d %14.0f\n" "raw-relay" 2 wall result.I.packets_sent
+    rate;
+  [
     J.Obj
       [
         ("mode", J.Str "raw-relay");
@@ -863,76 +856,50 @@ let x19 () =
         ("wall_s", J.Num wall);
         ("packets_sent", J.int result.I.packets_sent);
         ("msgs_per_s", J.Num rate);
-      ]
-  in
-  let stack ~n ~count =
-    let procs = Proc.all ~n in
-    let config =
-      To_service.make_config
-        { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 }
-    in
-    let wl = List.init count (fun i -> (0.0, i mod n, Printf.sprintf "b%d" i)) in
-    let observe, stop = drained config wl in
-    let t0 = wall_now () in
-    let run =
-      To_service.run_on ?observe ~stop
-        ~backend:(Gcs_transport.Bus.backend ())
-        config ~workload:wl ~failures:[] ~until:60.0 ~seed:11
-    in
-    let wall = wall_now () -. t0 in
-    let deliveries = To_service.deliveries run in
-    let packet_rate = float_of_int run.To_service.packets_sent /. wall in
-    let client_rate = float_of_int deliveries /. wall in
-    row "%12s %4d %10.2f %10d %10d %14.0f\n" "vstoto-stack" n wall
-      run.To_service.packets_sent deliveries client_rate;
-    J.Obj
-      [
-        ("mode", J.Str "vstoto-stack");
-        ("backend", J.Str "bus");
-        ("n", J.int n);
-        ("client_msgs", J.int count);
-        ("wall_s", J.Num wall);
-        ("packets_sent", J.int run.To_service.packets_sent);
-        ("client_deliveries", J.int deliveries);
-        ("packet_msgs_per_s", J.Num packet_rate);
-        ("client_msgs_per_s", J.Num client_rate);
-        ("msgs_per_s", J.Num client_rate);
-      ]
-  in
-  [ raw ~window:32 ~until:2.0; stack ~n:3 ~count:300 ]
+      ];
+  ]
 
 (* X20: batched throughput — the open-loop workload of `gcs load`
    through the full VStoTO stack with the submission batch window on
-   and off, on both backends. Values are preloaded at t=0 (open loop:
-   the offered load never waits for deliveries); the window coalesces
-   everything queued between flushes into one Msg.Batch gpsnd, so the
-   ring carries a handful of batch entries instead of one entry per
-   client value. The bus rows are real wall-clock rates (the batched
-   row is the PR's ≥10x headline over the X19-era unbatched path); the
-   sim rows measure the simulation's own compute cost for the same
-   offered load, where batching pays by shrinking the event count.
-   Rows carry [client_msgs_per_s], which the drift gate checks against
-   the committed baseline (a >3x rate drop fails). *)
+   and off, on both backends (open loop: the offered load never waits
+   for deliveries). The window coalesces everything queued between
+   flushes into one Msg.Batch gpsnd, so the ring carries a handful of
+   batch entries instead of one entry per client value. The bus rows
+   preload their values at t=0 and measure real wall-clock rates, which
+   the drift gate holds within 3x of the baseline; the unbatched one
+   runs 1,000 values per origin so that it lasts tens of the bus's 2 ms
+   poll ticks. The sim rows submit one value per time unit per origin:
+   at that pace a token visit closes some batches and the 2-unit window
+   others, so their batch counts, which the gate compares exactly, move
+   with either path. Their rates only time the simulator. *)
 
 let x20 () =
   row "%10s %8s %4s %8s %8s %8s %9s %8s %14s\n" "mode" "backend" "n" "window"
     "values" "wall s" "deliv" "batches" "client msg/s";
   let throughput ~backend ~n ~count ~window =
     let procs = Proc.all ~n in
-    let vs_config =
+    let vs_config, spacing =
       match backend with
-      | `Sim -> { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }
-      | `Bus -> { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 }
+      | `Sim ->
+          ({ Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 1.0 }, 1.0)
+      | `Bus ->
+          ( { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1.0e6; delta = 5.0 },
+            0.0 )
     in
     let config = To_service.make_config ?batch_window:window vs_config in
     let wl =
       List.concat_map
         (fun p ->
-          List.init count (fun k -> (0.0, p, Printf.sprintf "x%d.%d" p k)))
+          List.init count (fun k ->
+              (float_of_int k *. spacing, p, Printf.sprintf "x%d.%d" p k)))
         procs
     in
     let total = n * count in
-    let observe, stop = drained config wl in
+    let observe, stop =
+      Gcs_conformance.Service.drained
+        (module Gcs_conformance.Services.Vstoto)
+        config ~workload:wl ~after:Float.neg_infinity
+    in
     let backend_impl, backend_name, until =
       match backend with
       | `Sim ->
@@ -980,7 +947,7 @@ let x20 () =
   [
     throughput ~backend:`Sim ~n:3 ~count:200 ~window:None;
     throughput ~backend:`Sim ~n:3 ~count:200 ~window:(Some 2.0);
-    throughput ~backend:`Bus ~n:3 ~count:200 ~window:None;
+    throughput ~backend:`Bus ~n:3 ~count:1000 ~window:None;
     throughput ~backend:`Bus ~n:3 ~count:5000 ~window:(Some 0.02);
   ]
 
@@ -991,8 +958,9 @@ let x20 () =
    delivery latency of a lone probe submitted after stabilization:
    Skeen needs 3δ (propose → proposal → commit), the sequencer 2 hops,
    and VStoTO a token rotation. Throughput rows preload an open-loop
-   workload on the real bus and report wall-clock client msgs/sec,
-   which the drift gate checks against the committed baseline. The
+   workload on the real bus (1,500 values per origin, so that a run
+   lasts tens of poll ticks) and report wall-clock client msgs/sec,
+   which the drift gate holds within 3x of the baseline. The
    matrix is the paper's trade-off made concrete: the cheap baselines
    win clean-network latency, the partitionable stack buys fault
    tolerance with a bounded (Theorem 7.1) latency premium. *)
@@ -1034,7 +1002,7 @@ let x21 () =
         ("max_latency", J.Num worst);
       ]
   in
-  (* Every service in the same row order as the committed baselines. *)
+  (* The drift gate matches rows by position: keep this order. *)
   let services =
     Gcs_conformance.Services.[ vstoto; sequencer; skeen ]
   in
@@ -1072,7 +1040,7 @@ let x21 () =
         ("msgs_per_s", J.Num client_rate);
       ]
   in
-  let count = 120 in
+  let count = 1500 in
   let total = n * count in
   let values p = List.init count (fun k -> Printf.sprintf "y%d.%d" p k) in
   (* One configuration for every service: VStoTO reads the bus timing
@@ -1148,6 +1116,11 @@ let x22 () =
         J.Obj
           [
             ("pair", J.Str name);
+            ( "backend",
+              J.Str
+                (match pair.Gcs_fuzz.Differential.backend with
+                | Gcs_fuzz.Differential.Bus -> "bus"
+                | Gcs_fuzz.Differential.Sim -> "sim") );
             ("execs", J.int execs);
             ("wall_s", J.Num wall);
             ("execs_per_s", J.Num rate);
@@ -1390,6 +1363,125 @@ let micro () =
         entries)
     tests
 
+(* --check-drift BASELINE.json: each section that ran is matched with the
+   baseline section of the same id, and each of its rows with the
+   baseline row at the same position. Three rules:
+   - the section's wall clock may grow at most 3x (floored at 50 ms:
+     shorter timings are noise);
+   - a bus row (backend "bus") runs on the wall clock: its
+     [client_msgs_per_s] may fall at most 3x, and nothing else in it is
+     gated;
+   - every other row runs on simulated time and is the same at any
+     --jobs: each field, nested ones included, whose name does not end
+     in [_s] (wall-clock seconds and per-second rates) must equal the
+     baseline exactly.
+   A section missing from the baseline, or with another row count, fails
+   as well. *)
+
+(* The first gated field where [cur] differs from [base], as a path with
+   both values ([None] where a side lacks the field). *)
+let rec first_difference path base cur =
+  match (base, cur) with
+  | J.Obj bs, J.Obj cs ->
+      List.map fst cs
+      @ List.filter (fun k -> not (List.mem_assoc k cs)) (List.map fst bs)
+      |> List.filter (fun k -> not (String.ends_with ~suffix:"_s" k))
+      |> List.find_map (fun k ->
+             let path = path ^ "." ^ k in
+             match (List.assoc_opt k bs, List.assoc_opt k cs) with
+             | Some b, Some c -> first_difference path b c
+             | b, c -> Some (path, b, c))
+  | J.Arr bs, J.Arr cs when List.compare_lengths bs cs = 0 ->
+      List.combine bs cs
+      |> List.mapi (fun i (b, c) ->
+             first_difference (Printf.sprintf "%s[%d]" path i) b c)
+      |> List.find_map Fun.id
+  | _ -> if base = cur then None else Some (path, Some base, Some cur)
+
+let check_drift file =
+  let baseline =
+    match Result.bind (Gcs_stdx.Fileio.read_file file) J.of_string with
+    | Ok json ->
+        Option.bind (J.member "sections" json) J.to_list
+        |> Option.value ~default:[]
+    | Error e ->
+        Printf.eprintf "error: cannot read %s: %s\n" file e;
+        exit 2
+  in
+  let failures = ref 0 in
+  let fail fmt =
+    incr failures;
+    Printf.printf fmt
+  in
+  let floor_s = 0.05 in
+  let show = function None -> "absent" | Some v -> J.encode v in
+  let rate r = Option.bind (J.member "client_msgs_per_s" r) J.to_float in
+  let bus r = J.member "backend" r = Some (J.Str "bus") in
+  Printf.printf "\ndrift check against %s:\n" file;
+  List.iter
+    (fun s ->
+      match
+        List.find_opt (fun b -> J.member "id" b = Some (J.Str s.id)) baseline
+      with
+      | None -> fail "  %-4s FAILED: not in %s\n" s.id file
+      | Some b ->
+          let base_wall =
+            Option.value ~default:0.0
+              (Option.bind (J.member "wall_clock_s" b) J.to_float)
+          in
+          let allowed = 3.0 *. Float.max base_wall floor_s in
+          if s.wall_s > allowed then
+            fail "  %-4s FAILED: wall %.3fs vs baseline %.3fs (allowed %.3fs)\n"
+              s.id s.wall_s base_wall allowed
+          else
+            Printf.printf "  %-4s ok: wall %.3fs vs baseline %.3fs\n" s.id
+              s.wall_s base_wall;
+          let base_rows =
+            Option.value ~default:[] (Option.bind (J.member "rows" b) J.to_list)
+          in
+          (* Compare after a round trip, so that the current rows read as
+             the baseline's do (NaN as null, floats as printed). *)
+          let rows =
+            match J.of_string (J.encode (J.Arr s.rows)) with
+            | Ok (J.Arr rows) -> rows
+            | _ -> assert false
+          in
+          if List.compare_lengths base_rows rows <> 0 then
+            fail "  %-4s FAILED: %d rows vs %d in the baseline\n" s.id
+              (List.length rows) (List.length base_rows)
+          else
+            List.iteri
+              (fun i (base, cur) ->
+                if bus base && bus cur then
+                  match (rate base, rate cur) with
+                  | None, _ -> ()
+                  | Some b, Some c when c >= b /. 3.0 ->
+                      Printf.printf
+                        "  %-4s ok: row %d %.0f client msgs/s vs baseline %.0f\n"
+                        s.id i c b
+                  | Some b, c ->
+                      fail
+                        "  %-4s FAILED: row %d client_msgs_per_s %s vs baseline \
+                         %.0f (floor %.0f)\n"
+                        s.id i
+                        (show (Option.map (fun c -> J.Num c) c))
+                        b (b /. 3.0)
+                else
+                  Option.iter
+                    (fun (path, b, c) ->
+                      fail "  %-4s FAILED: row %d%s = %s vs baseline %s\n"
+                        s.id i path (show c) (show b))
+                    (first_difference "" base cur))
+              (List.combine base_rows rows))
+    (List.rev !recorded);
+  if !failures > 0 then begin
+    Printf.printf
+      "%d drift failure(s). If the change is deliberate, re-record the \
+       baseline: dune exec bench/main.exe -- --quick --jobs 2 --json %s\n"
+      !failures file;
+    exit 1
+  end
+
 let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
@@ -1468,140 +1560,5 @@ let () =
       output_string oc "\n";
       close_out oc;
       Printf.printf "\nwrote %s\n" file);
-  (* --check-drift BASELINE.json: compare each section wall clock with the
-     committed baseline; fail on a >3x regression. Very short sections are
-     floored at 50ms before comparing — their timings are dominated by
-     noise. Sections absent from the baseline (new since it was recorded)
-     are reported and skipped. *)
-  (match drift_baseline with
-  | None -> ()
-  | Some file ->
-      let contents =
-        let ic = open_in file in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        s
-      in
-      let open Gcs_stdx.Jsonx in
-      let baseline_sections =
-        match of_string contents with
-        | Error e ->
-            Printf.eprintf "error: cannot parse %s: %s\n" file e;
-            exit 2
-        | Ok json ->
-            Option.bind (member "sections" json) to_list
-            |> Option.value ~default:[]
-      in
-      let baseline_walls =
-        List.filter_map
-          (fun s ->
-            match
-              ( Option.bind (member "id" s) to_string,
-                Option.bind (member "wall_clock_s" s) to_float )
-            with
-            | Some id, Some w -> Some (id, w)
-            | _ -> None)
-          baseline_sections
-      in
-      (* Throughput rows are additionally gated on *rate*: any row
-         carrying [client_msgs_per_s] (X19's stack row, all of X20) must
-         stay within 3x of its baseline rate. Keyed by section id, row
-         mode, backend and (for X21's matrix) the total-order backend.
-         A wall-clock gate alone would not catch a
-         batching regression — a run that delivers a tenth of the
-         messages in the same wall time passes the wall gate. *)
-      let baseline_rates =
-        List.concat_map
-          (fun s ->
-            match Option.bind (member "id" s) to_string with
-            | None -> []
-            | Some sid ->
-                Option.bind (member "rows" s) to_list
-                |> Option.value ~default:[]
-                |> List.filter_map (fun r ->
-                       match
-                         Option.bind (member "client_msgs_per_s" r) to_float
-                       with
-                       | None -> None
-                       | Some rate ->
-                           let part k =
-                             Option.value ~default:"-"
-                               (Option.bind (member k r) to_string)
-                           in
-                           Some
-                             ( sid ^ "/" ^ part "mode" ^ "/" ^ part "backend"
-                               ^ "/" ^ part "to_backend",
-                               rate )))
-          baseline_sections
-      in
-      let current_rates =
-        List.concat_map
-          (fun s ->
-            List.filter_map
-              (fun r ->
-                match r with
-                | J.Obj fields ->
-                    let rate =
-                      match List.assoc_opt "client_msgs_per_s" fields with
-                      | Some (J.Num f) -> Some f
-                      | _ -> None
-                    in
-                    Option.map
-                      (fun rate ->
-                        let part k =
-                          match List.assoc_opt k fields with
-                          | Some (J.Str v) -> v
-                          | _ -> "-"
-                        in
-                        ( s.id ^ "/" ^ part "mode" ^ "/" ^ part "backend"
-                          ^ "/" ^ part "to_backend",
-                          rate ))
-                      rate
-                | _ -> None)
-              s.rows)
-          (List.rev !recorded)
-      in
-      let floor_s = 0.05 in
-      let regressions = ref 0 in
-      Printf.printf "\ndrift check against %s (3x tolerance, %.0fms floor):\n"
-        file (floor_s *. 1000.0);
-      List.iter
-        (fun s ->
-          match List.assoc_opt s.id baseline_walls with
-          | None ->
-              Printf.printf "  %-4s no baseline (new section), skipped\n" s.id
-          | Some base ->
-              let allowed = 3.0 *. Float.max base floor_s in
-              if s.wall_s > allowed then begin
-                incr regressions;
-                Printf.printf
-                  "  %-4s REGRESSED: %.3fs vs baseline %.3fs (allowed %.3fs)\n"
-                  s.id s.wall_s base allowed
-              end
-              else
-                Printf.printf "  %-4s ok: %.3fs vs baseline %.3fs\n" s.id
-                  s.wall_s base)
-        (List.rev !recorded);
-      List.iter
-        (fun (key, rate) ->
-          match List.assoc_opt key baseline_rates with
-          | None ->
-              Printf.printf "  %-24s no baseline rate (new row), skipped\n" key
-          | Some base ->
-              if rate < base /. 3.0 then begin
-                incr regressions;
-                Printf.printf
-                  "  %-24s REGRESSED: %.0f msgs/s vs baseline %.0f (floor \
-                   %.0f)\n"
-                  key rate base (base /. 3.0)
-              end
-              else
-                Printf.printf "  %-24s ok: %.0f msgs/s vs baseline %.0f\n" key
-                  rate base)
-        current_rates;
-      if !regressions > 0 then begin
-        Printf.printf "%d section(s) regressed >3x.\n" !regressions;
-        exit 1
-      end);
+  Option.iter check_drift drift_baseline;
   Printf.printf "\ndone.\n"

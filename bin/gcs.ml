@@ -295,32 +295,46 @@ let reproduce ~procs ~n ~delta ~pi ~mu ~until ~events (o : Harness.outcome) =
     o.Harness.seed n delta pi mu
     (match until with None -> "" | Some u -> Printf.sprintf " --until %g" u)
 
-(* A sweep of nemesis schedules, given as (seed, events, scenario): one
-   [Harness.run] each on a pool of [jobs] domains, outcomes in schedule
-   order and bit-identical at any job count. With [json], one JSON object
-   per line and nothing else; otherwise a line per schedule, then the
-   full outcome, the metrics and the reproduce command of every failure,
-   and a summary. Exits 1 if any schedule fails. *)
-let sweep ~config ~until ~jobs ~json ~metrics ~reproduce schedules =
-  (* Wall clock measures pool throughput only; the simulation itself
+(* A sweep of [count] nemesis schedules, the [i]th given by [schedule i]
+   as (seed, events, scenario): one [Harness.run] each on a pool of
+   [jobs] domains. The pool runs a chunk of [16 * jobs] schedules at a
+   time and each chunk prints as soon as it ends, so a long sweep shows
+   progress and holds only its failed outcomes; the output is in
+   schedule order and bit-identical at any job count. With [json], one
+   JSON object per line and nothing else; otherwise a line per schedule,
+   then the full outcome, the metrics and the reproduce command of every
+   failure, and a summary. Exits 1 if any schedule fails. *)
+let sweep ~config ~until ~jobs ~json ~metrics ~reproduce ~count schedule =
+  (* Wall clock measures sweep throughput only; the simulation itself
      runs on virtual time and is untouched by it. *)
   let t0 = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () in
-  let outcomes =
-    Gcs_stdx.Pool.map ~jobs
-      (fun (seed, events, scenario) ->
-        (events, Harness.run ~config ?until ~seed scenario))
-      schedules
+  let chunk = 16 * jobs in
+  let rec go start failed =
+    if start >= count then List.rev failed
+    else begin
+      let outcomes =
+        Gcs_stdx.Pool.map ~jobs
+          (fun (seed, events, scenario) ->
+            (events, Harness.run ~config ?until ~seed scenario))
+          (List.init (min chunk (count - start)) (fun i -> schedule (start + i)))
+      in
+      List.iter
+        (fun (_, o) ->
+          if json then
+            print_endline
+              (if metrics then Harness.to_json_with_metrics o
+               else Harness.to_json o)
+          else Format.printf "%a@." Harness.pp_line o)
+        outcomes;
+      go (start + chunk)
+        (List.rev_append
+           (List.filter (fun (_, o) -> not (Harness.passed o)) outcomes)
+           failed)
+    end
   in
+  let failed = go 0 [] in
   let wall = (Unix.gettimeofday [@gcs.lint.allow "D2"]) () -. t0 in
-  let failed = List.filter (fun (_, o) -> not (Harness.passed o)) outcomes in
-  if json then
-    List.iter
-      (fun (_, o) ->
-        print_endline
-          (if metrics then Harness.to_json_with_metrics o else Harness.to_json o))
-      outcomes
-  else begin
-    List.iter (fun (_, o) -> Format.printf "%a@." Harness.pp_line o) outcomes;
+  if not json then begin
     List.iter
       (fun (events, o) ->
         Format.printf "%a@." Harness.pp o;
@@ -329,8 +343,8 @@ let sweep ~config ~until ~jobs ~json ~metrics ~reproduce schedules =
         print_endline (reproduce ~events o))
       failed;
     Printf.printf "%d/%d schedules passed in %.2fs (jobs=%d)\n"
-      (List.length outcomes - List.length failed)
-      (List.length outcomes) wall jobs
+      (count - List.length failed)
+      count wall jobs
   end;
   if failed <> [] then exit 1
 
@@ -380,7 +394,7 @@ let nemesis_cmd =
         (Scenario.builtins ~procs)
     else if count > 1 then
       sweep ~config ~until ~jobs:(resolve_jobs jobs) ~json ~metrics ~reproduce
-        (List.init count (fun i -> schedule (seed + i)))
+        ~count (fun i -> schedule (seed + i))
     else begin
       let _, _, scenario = schedule seed in
       let outcome = Harness.run ~config ?until ~seed scenario in
@@ -434,10 +448,11 @@ let soak_cmd =
     sweep ~config ~until:None ~jobs:(resolve_jobs jobs) ~json:false
       ~metrics:false
       ~reproduce:(reproduce ~procs ~n ~delta ~pi ~mu ~until:None)
-      (List.init iters (fun i ->
-           let seed = seed + (i * 97) in
-           let events = if events > 0 then events else 8 + (i mod 5) in
-           (seed, events, Gcs_nemesis.Gen.scenario ~procs ~events ~seed ())))
+      ~count:iters
+      (fun i ->
+        let seed = seed + (i * 97) in
+        let events = if events > 0 then events else 8 + (i mod 5) in
+        (seed, events, Gcs_nemesis.Gen.scenario ~procs ~events ~seed ()))
   in
   Cmd.v
     (Cmd.info "soak"
