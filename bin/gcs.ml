@@ -747,6 +747,10 @@ let fuzz_cmd =
       let tamper =
         Option.bind diff_mutant (fun m -> m.Gcs_fuzz.Diff_mutant.tamper)
       in
+      let withholds_outputs =
+        Option.map (fun m -> m.Gcs_fuzz.Diff_mutant.withholds_outputs)
+          diff_mutant
+      in
       (* A planted bug instruments one service's handlers: pairing it with
          another service (or a pair with another candidate) would fuzz a
          clean system and report nothing, so the runners refuse it with
@@ -793,7 +797,8 @@ let fuzz_cmd =
               refusing (fun () ->
                   match pair with
                   | Some p ->
-                      Gcs_fuzz.Differential.execute ?tamper ?mutant ~config p
+                      Gcs_fuzz.Differential.execute ?tamper ?withholds_outputs
+                        ?mutant ~config p
                         input
                   | None ->
                       Gcs_fuzz.Runner.execute ?service ?mutant ~config input)
@@ -855,7 +860,8 @@ let fuzz_cmd =
         in
         let outcome =
           refusing (fun () ->
-              Gcs_fuzz.Fuzz.run ?service ?mutant ?tamper ?pair ~seeds ~jobs
+              Gcs_fuzz.Fuzz.run ?service ?mutant ?tamper ?withholds_outputs
+                ?pair ~seeds ~jobs
                 ~batch ~shrink_budget ~stop_on_failure:(not soak) ?should_stop
                 ?progress ~config ~seed ~execs ())
         in

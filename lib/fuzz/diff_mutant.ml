@@ -17,8 +17,9 @@ type t = {
   name : string;
   doc : string;
   pair : Differential.pair;  (** the pair whose candidate side it infects *)
-  tamper : Gcs_transport.Bus.tamper option;
+  tamper : Differential.tamper option;
   mutant : Service.tagged option;
+  withholds_outputs : bool;
 }
 
 let pair_named name =
@@ -26,10 +27,10 @@ let pair_named name =
   | Some p -> p
   | None -> invalid_arg ("Diff_mutant: no pair " ^ name)
 
-(* ------------------------- transport tampers ------------------------- *)
+(* ------------------------ input-queue tampers ------------------------ *)
 
 (* Swap the payloads of node 0's first two client submissions (times
-   kept): the bus runs a transposed schedule, so the token picks the
+   kept): the candidate runs a transposed schedule, so the token picks the
    values up in transposed order — a valid total order for the wrong
    workload. Deterministic: fires whenever node 0 submits twice. *)
 let bus_swap_inputs =
@@ -39,9 +40,9 @@ let bus_swap_inputs =
       "the bus transposes node 0's first two submissions (an input-queue \
        bug): every single-execution oracle accepts the reordered run";
     pair = pair_named "sim-bus";
-    tamper =
-      Some { Gcs_transport.Bus.swap_inputs_at = Some (0, 0) };
+    tamper = Some { Differential.swap_inputs_at = (0, 0) };
     mutant = None;
+    withholds_outputs = false;
   }
 
 (* The same input transposition on the Skeen pair: the serialized
@@ -54,9 +55,9 @@ let skeen_swap_inputs =
       "the Skeen bus transposes node 0's first two submissions — the \
        committed order matches the transposed schedule, not the real one";
     pair = pair_named "skeen-bus";
-    tamper =
-      Some { Gcs_transport.Bus.swap_inputs_at = Some (0, 0) };
+    tamper = Some { Differential.swap_inputs_at = (0, 0) };
     mutant = None;
+    withholds_outputs = false;
   }
 
 (* ---------------------- delivery-delay rewrites ---------------------- *)
@@ -142,6 +143,7 @@ let skeen_delay_deliver =
            (module Services.Skeen)
            ~name:"skeen-delay-deliver" ~doc
            ~brcv_src:(function To_action.Brcv { src; _ } -> Some src | _ -> None));
+    withholds_outputs = true;
   }
 
 (* The same delivery-queue bug in the VStoTO service running on the bus.
@@ -167,6 +169,7 @@ let vs_delay_deliver =
            ~brcv_src:(function
              | To_service.Client (To_action.Brcv { src; _ }) -> Some src
              | _ -> None));
+    withholds_outputs = true;
   }
 
 let all =

@@ -8,19 +8,22 @@
     --mutant NAME --expect-failure] must find and shrink each one
     within CI budgets.
 
-    Each mutant infects the {e candidate} side of one pair, either as a
-    transport tamper ({!Gcs_transport.Bus.tamper}: a transposed input
-    queue) or as a handler rewrite on the candidate's service (VStoTO or
-    Skeen) that hands a delivery to the client one delivery late, FIFO
-    preserved. *)
+    Each mutant infects the {e candidate} side of one pair, either as an
+    input-queue tamper ({!Differential.tamper}: the candidate runs a
+    transposed schedule) or as a handler rewrite on the candidate's
+    service (VStoTO or Skeen) that hands a delivery to the client one
+    delivery late, FIFO preserved. *)
 
 type t = {
   name : string;
   doc : string;  (** the emulated defect, one line *)
   pair : Differential.pair;  (** the pair whose candidate side it infects *)
-  tamper : Gcs_transport.Bus.tamper option;
+  tamper : Differential.tamper option;
   mutant : Gcs_conformance.Service.tagged option;
       (** a handler rewrite of the pair's candidate service *)
+  withholds_outputs : bool;
+      (** the rewrite may hold a client output back, so the pair must not
+          pace submissions on outputs ({!Differential.execute}) *)
 }
 
 val all : t list

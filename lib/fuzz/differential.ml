@@ -129,6 +129,24 @@ let serial_spacing = 0.01
 let serial_profile procs =
   { Vs_node.procs; p0 = procs; pi = 6.0; mu = 8.0; delta = 0.003 }
 
+type tamper = { swap_inputs_at : Gcs_core.Proc.t * int }
+
+let swap { swap_inputs_at = p, k } input =
+  let mine =
+    List.filter_map
+      (fun (i, (_, q, v)) ->
+        if Gcs_core.Proc.equal q p then Some (i, v) else None)
+      (List.mapi (fun i x -> (i, x)) input.Input.workload)
+  in
+  match (List.nth_opt mine k, List.nth_opt mine (k + 1)) with
+  | Some (i, vi), Some (j, vj) ->
+      let value n v = if n = i then vj else if n = j then vi else v in
+      let workload =
+        List.mapi (fun n (t, q, v) -> (t, q, value n v)) input.Input.workload
+      in
+      { input with Input.workload }
+  | _ -> input
+
 let retime at input =
   {
     input with
@@ -139,7 +157,7 @@ let retime at input =
 (* The shared configuration, the scheduled input and the candidate's
    backend. A simulated candidate keeps the caller's timing and the
    stripped input times. *)
-let anchor ?tamper pair ~config input =
+let anchor ?(withholds_outputs = false) pair ~config input =
   let procs = config.To_service.vs.Vs_node.procs in
   match pair.backend with
   | Sim ->
@@ -153,7 +171,7 @@ let anchor ?tamper pair ~config input =
       | Service.Token_anchored ->
           ( config token_profile,
             retime (fun _ -> 0.0) input,
-            Some (Gcs_transport.Bus.backend ?tamper ()) )
+            Some (Gcs_transport.Bus.backend ()) )
       | Service.Serialized ->
           (* Causal admission: submission [index] enters the bus only
              after the earlier ones are fully processed (one Bcast plus
@@ -161,12 +179,15 @@ let anchor ?tamper pair ~config input =
              under controller jitter: a collapsed gap overlaps two
              ordering rounds, and a timestamp protocol commits a
              different — valid — total order than the serialized
-             reference, a false divergence. *)
+             reference, a false divergence. A candidate that may withhold
+             outputs would hold admission forever, so it runs on the
+             spacing alone. *)
           let per_msg = 1 + List.length procs in
           let admit ~outputs ~index = outputs >= index * per_msg in
+          let admit = if withholds_outputs then None else Some admit in
           ( config serial_profile,
             retime (fun i -> serial_spacing *. float_of_int (i + 1)) input,
-            Some (Gcs_transport.Bus.backend ?tamper ~admit ()) ))
+            Some (Gcs_transport.Bus.backend ?admit ()) ))
 
 (* ------------------------------ execute ------------------------------ *)
 
@@ -174,9 +195,11 @@ let anchor ?tamper pair ~config input =
    addressing. Against a bus candidate, both end as soon as the
    workload has drained; the horizons (simulated time units, wall-clock
    seconds) are only the fallback for a run that never drains. *)
-let run ?tamper ?mutant ~config pair input =
+let run ?tamper ?withholds_outputs ?mutant ~config pair input =
   let procs = config.To_service.vs.Vs_node.procs in
-  let config, input, backend = anchor ?tamper pair ~config (strip input) in
+  let config, input, backend =
+    anchor ?withholds_outputs pair ~config (strip input)
+  in
   let drain horizon =
     match pair.backend with Sim -> None | Bus -> Some horizon
   in
@@ -186,7 +209,8 @@ let run ?tamper ?mutant ~config pair input =
   in
   let cand_obs, cand_trace =
     Runner.execute_full ~service:pair.candidate ?mutant ?backend
-      ?drain:(drain 30.0) ~dests:[] ~config input
+      ?drain:(drain 30.0) ~dests:[] ~config
+      (match tamper with Some t -> swap t input | None -> input)
   in
   (* Same service: the anchoring fixes one order, so the sequences must
      match exactly. Two protocols pick different total orders,
@@ -227,10 +251,10 @@ let run ?tamper ?mutant ~config pair input =
 
 (* The pairing check runs once the pair is applied, so a partial
    application checks once for a whole campaign. *)
-let execute ?tamper ?mutant ~config pair =
+let execute ?tamper ?withholds_outputs ?mutant ~config pair =
   Option.iter (Service.check_mutant pair.candidate) mutant;
   fun input ->
-    (try run ?tamper ?mutant ~config pair input
+    (try run ?tamper ?withholds_outputs ?mutant ~config pair input
      with e ->
        {
          Runner.coverage = Coverage.empty;
@@ -241,8 +265,11 @@ let execute ?tamper ?mutant ~config pair =
        })
     [@gcs.lint.allow "P2" (* crash-as-verdict, same policy as Runner *)]
 
-let oracle ?tamper ?mutant ~config ~check pair input =
-  match (execute ?tamper ?mutant ~config pair input).Runner.verdict with
+let oracle ?tamper ?withholds_outputs ?mutant ~config ~check pair input =
+  match
+    (execute ?tamper ?withholds_outputs ?mutant ~config pair input)
+      .Runner.verdict
+  with
   | Some f when String.equal f.Runner.check check -> Some f
   | Some _ | None -> None
 

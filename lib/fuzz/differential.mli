@@ -39,6 +39,21 @@ type pair = {
       (** submission batching for both sides (VStoTO only) *)
 }
 
+type tamper = {
+  swap_inputs_at : Gcs_core.Proc.t * int;
+      (** at (node, k): exchange the values of that node's [k]-th and
+          [k+1]-th submissions (0-based, in schedule order), keeping
+          their times *)
+}
+(** A planted fault for the mutant gauntlet: the candidate runs a
+    transposed schedule, as if its input queue reordered a client's
+    stream. A single execution cannot tell it from legal client-side
+    timing — the run is a valid execution of the {e transposed}
+    schedule, so no trace-conformance or invariant oracle fires; its
+    {e only} symptom is divergence from the reference execution of the
+    real schedule. It never drops or duplicates; with fewer than [k+2]
+    submissions at the node it degrades to a no-op. *)
+
 val sim_bus :
   ?name:string -> ?batch_window:float -> Gcs_conformance.Service.t -> pair
 (** A service on the simulator against itself on the bus; named
@@ -52,7 +67,8 @@ val all : pair list
 val of_name : string -> pair option
 
 val execute :
-  ?tamper:Gcs_transport.Bus.tamper ->
+  ?tamper:tamper ->
+  ?withholds_outputs:bool ->
   ?mutant:Gcs_conformance.Service.tagged ->
   config:Gcs_impl.To_service.config ->
   pair ->
@@ -64,12 +80,17 @@ val execute :
     = "divergence"]. [config] is the shared configuration of simulated
     pairs; a bus pair builds its own from the processor set and its
     anchoring. [tamper] and [mutant] instrument the candidate side only;
-    a mutant of another service than the pair's candidate raises
+    [withholds_outputs] (default [false]) declares that the candidate's
+    handlers may withhold client outputs, so a serialized bus candidate
+    is paced by its spacing alone instead of by causal admission, which
+    would wait on those outputs until the horizon. A mutant of another
+    service than the pair's candidate raises
     [Invalid_argument] as soon as the pair is applied, before anything
     runs. *)
 
 val oracle :
-  ?tamper:Gcs_transport.Bus.tamper ->
+  ?tamper:tamper ->
+  ?withholds_outputs:bool ->
   ?mutant:Gcs_conformance.Service.tagged ->
   config:Gcs_impl.To_service.config ->
   check:string ->

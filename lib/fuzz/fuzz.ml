@@ -237,8 +237,8 @@ let mutate ~procs ~prng ~fresh ~max_events ~choices corpus =
 
 (* ----------------------------- main loop ----------------------------- *)
 
-let run ?service ?mutant ?tamper ?pair ?(seeds = []) ?jobs ?(batch = 8)
-    ?(shrink_budget = 600) ?(max_events = 40) ?(stop_on_failure = true)
+let run ?service ?mutant ?tamper ?withholds_outputs ?pair ?(seeds = []) ?jobs
+    ?(batch = 8) ?(shrink_budget = 600) ?(max_events = 40) ?(stop_on_failure = true)
     ?should_stop ?progress ~config ~seed ~execs () =
   let procs = config.To_service.vs.Vs_node.procs in
   (* In differential mode [mutant] instruments the candidate side of the
@@ -247,7 +247,8 @@ let run ?service ?mutant ?tamper ?pair ?(seeds = []) ?jobs ?(batch = 8)
      here, before anything runs. *)
   let execute =
     match pair with
-    | Some p -> Differential.execute ?tamper ?mutant ~config p
+    | Some p ->
+        Differential.execute ?tamper ?withholds_outputs ?mutant ~config p
     | None ->
         let service = Runner.subject ?service ?mutant () in
         fun input -> Runner.execute ~service ?mutant ~config input
@@ -328,8 +329,8 @@ let run ?service ?mutant ?tamper ?pair ?(seeds = []) ?jobs ?(batch = 8)
         let oracle input =
           match pair with
           | Some p ->
-              Differential.oracle ?tamper ?mutant ~config ~check:f.Runner.check
-                p input
+              Differential.oracle ?tamper ?withholds_outputs ?mutant ~config
+                ~check:f.Runner.check p input
           | None ->
               Runner.oracle ?service ?mutant ~config ~check:f.Runner.check
                 input

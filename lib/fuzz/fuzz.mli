@@ -41,7 +41,8 @@ type outcome = {
 val run :
   ?service:Gcs_conformance.Service.t ->
   ?mutant:Gcs_conformance.Service.tagged ->
-  ?tamper:Gcs_transport.Bus.tamper ->
+  ?tamper:Differential.tamper ->
+  ?withholds_outputs:bool ->
   ?pair:Differential.pair ->
   ?seeds:Input.t list ->
   ?jobs:int ->
@@ -71,9 +72,9 @@ val run :
     {!Differential.execute} on that pair, the seed corpus is
     {!Differential.seed_inputs}, and mutation works the diff genome only
     (sequence order, origins, count, seed — no fault steps). In this
-    mode [tamper] and [mutant] are the {!Diff_mutant} hooks infecting
-    the candidate side, and [mutant] must belong to the pair's
-    candidate service.
+    mode [tamper], [withholds_outputs] and [mutant] are the
+    {!Diff_mutant} hooks infecting the candidate side, and [mutant] must
+    belong to the pair's candidate service.
 
     [seeds] are extra schedules replayed after the built-in seed corpus
     — a loaded {!Corpus} — and admitted under the same novelty rule,

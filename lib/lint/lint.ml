@@ -141,8 +141,8 @@ let blocking_call path =
   | Some ("Mailbox", ("wait" | "recv" as f)) -> Some ("Mailbox." ^ f)
   | Some ("Domain", "join") -> Some "Domain.join"
   | Some ("Pool", ("map" | "iter" as f)) -> Some ("Pool." ^ f)
-  | Some ("Clock", "sleep") -> Some "Clock.sleep"
-  | Some ("Unix", ("sleep" | "sleepf" as f)) -> Some ("Unix." ^ f)
+  | Some ("Clock", ("sleep" | "wait" as f)) -> Some ("Clock." ^ f)
+  | Some ("Unix", ("sleep" | "sleepf" | "select" as f)) -> Some ("Unix." ^ f)
   | Some ("Thread", "delay") -> Some "Thread.delay"
   | _ -> None
 

@@ -67,7 +67,8 @@
       {!Gcs_stdx.Atomicx.store_max}.
     - [C4] blocking under a lock, and static lock-order cycles: a
       blocking call ([Condition.wait], [Mutex.lock], [Mailbox.wait] /
-      [recv], [Domain.join], [Pool.map]/[iter], [Clock.sleep], ...)
+      [recv], [Domain.join], [Pool.map]/[iter], [Clock.sleep]/[wait],
+      [Unix.select], ...)
       syntactically inside a [Lock.with_lock] / [Mutex.protect] body
       ([Lock.wait c l] on exactly the one held lock [l] is the
       sanctioned exception); and, per file, every nested

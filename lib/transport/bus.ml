@@ -3,18 +3,9 @@ module Prng = Gcs_stdx.Prng
 module Metrics = Gcs_stdx.Metrics
 module Lock = Gcs_stdx.Lock
 
-type config = {
-  poll_interval : float;
-  ugly_drop_prob : float;
-  ugly_delay_max : float;
-}
+type config = { ugly_drop_prob : float; ugly_delay_max : float }
 
-let default_config =
-  { poll_interval = 0.002; ugly_drop_prob = 0.5; ugly_delay_max = 0.05 }
-
-type tamper = { swap_inputs_at : (Proc.t * int) option }
-
-let no_tamper = { swap_inputs_at = None }
+let default_config = { ugly_drop_prob = 0.5; ugly_delay_max = 0.05 }
 
 exception
   Undecodable of { src : Proc.t; dst : Proc.t; bytes : string; error : string }
@@ -31,24 +22,37 @@ let () =
    self), or client inputs injected by the controller. *)
 type 'input envelope = Packet of { src : Proc.t; data : string } | Input of 'input
 
-let run (type state input packet out) ?(config = default_config)
-    ?(tamper = no_tamper) ?admit ?metrics
+(* Deadlines in (time, tie-break) order: a node's timers break ties on
+   their id, the delay wheel on arrival order. *)
+module Due = struct
+  type t = float * int
+  let compare (a, i) (b, j) = match Float.compare a b with 0 -> Int.compare i j | c -> c
+end
+
+module Timers = Set.Make (Due)
+module Wheel = Map.Make (Due)
+
+let run (type state input packet out) ?(config = default_config) ?admit ?metrics
     ?lock_registry ?observe ?stop (codec : packet Iface.codec) ~procs
     ~(handlers : (state, input, packet, out) Iface.handlers) ~init ~inputs
     ~failures ~until ~seed =
+  Clock.with_waker @@ fun waker ->
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let clock = Clock.create () in
-  let mailboxes =
-    List.fold_left
-      (fun m p ->
-        Proc.Map.add p
-          (Mailbox.create ?registry:lock_registry
-             ~name:(Printf.sprintf "bus.mailbox.%d" p)
-             ())
-          m)
-      Proc.Map.empty procs
+  (* Per node: its mailbox, and its earliest timer, published when it
+     parks; the controller swaps a due one for [infinity] as it ticks it. *)
+  let slot p =
+    let name = Printf.sprintf "bus.mailbox.%d" p in
+    (Mailbox.create ?registry:lock_registry ~name (), Atomic.make infinity)
   in
-  let mailbox p = Proc.Map.find p mailboxes in
+  let slots =
+    List.fold_left (fun m p -> Proc.Map.add p (slot p) m) Proc.Map.empty procs
+  in
+  let mailbox p = fst (Proc.Map.find p slots) in
+  (* The deadline the controller sleeps toward; [neg_infinity] while it
+     is awake, since it rescans every source before sleeping again. *)
+  let target = Atomic.make neg_infinity in
+  let wake_for due = if due < Atomic.get target then Clock.wake waker in
   (* Failure statuses, read by every sender at send time and by every node
      before handling — exactly the sim's at-send / at-step semantics, but
      the matrix lives behind a lock instead of inside the event loop. All
@@ -68,22 +72,34 @@ let run (type state input packet out) ?(config = default_config)
         let t = Clock.now clock in
         trace_rev := { Timed.time = t; item } :: !trace_rev)
   in
+  (* Set while a due submission waits on [admit], the one thing the
+     controller waits for that has no deadline: only then does an output
+     wake it. *)
+  let holding = Atomic.make false in
   let record_action out =
     record (Timed.Action out);
-    Atomic.incr outputs
+    Atomic.incr outputs;
+    if Atomic.get holding then Clock.wake waker
   in
   let packets_sent = Atomic.make 0 in
   let packets_dropped = Atomic.make 0 in
   let sent_self = Atomic.make 0 in
   let stopped = Atomic.make false in
+  let halt () = if Atomic.compare_and_set stopped false true then Clock.wake waker in
+  (* Asked after every event, as on the simulator, and at every
+     controller wake; whoever first sees it hold ends the run. *)
+  let stop_now now =
+    match stop with Some f -> f ~now ~outputs:(Atomic.get outputs) | None -> false
+  in
   let fail_cell : exn option Atomic.t = Atomic.make None in
   let record_failure e =
     ignore (Atomic.compare_and_set fail_cell None (Some e));
-    Atomic.set stopped true
+    halt ()
   in
-  (* Ugly-link packets in flight: the controller delivers them when due. *)
+  (* Ugly-link packets in flight, in due order. *)
   let wheel_lock = Lock.create ?registry:lock_registry "bus.wheel" in
-  let wheel : (float * Proc.t * input envelope) list ref = ref [] in
+  let wheel : (Proc.t * input envelope) Wheel.t ref = ref Wheel.empty in
+  let wheel_seq = ref 0 in
   let deliver dst env = Mailbox.push (mailbox dst) env in
   let send ~prng ~me dst packet =
     let data = codec.Iface.enc packet in
@@ -97,18 +113,16 @@ let run (type state input packet out) ?(config = default_config)
       match with_status (fun t -> Fstatus.link_status t me dst) with
       | Fstatus.Good -> deliver dst (Packet { src = me; data })
       | Fstatus.Bad -> Atomic.incr packets_dropped
+      | Fstatus.Ugly when Prng.float prng < config.ugly_drop_prob ->
+          Atomic.incr packets_dropped
       | Fstatus.Ugly ->
-          if Prng.float prng < config.ugly_drop_prob then
-            Atomic.incr packets_dropped
-          else begin
-            let due =
-              Clock.now clock
-              +. max config.poll_interval
-                   (Prng.float prng *. config.ugly_delay_max)
-            in
-            Lock.with_lock wheel_lock (fun () ->
-                wheel := (due, dst, Packet { src = me; data }) :: !wheel)
-          end
+          let due = Clock.now clock +. (Prng.float prng *. config.ugly_delay_max) in
+          Lock.with_lock wheel_lock (fun () ->
+              incr wheel_seq;
+              wheel :=
+                Wheel.add (due, !wheel_seq) (dst, Packet { src = me; data })
+                  !wheel);
+          wake_for due
   in
   let observe =
     match observe with
@@ -123,78 +137,67 @@ let run (type state input packet out) ?(config = default_config)
      each step — the paper's "nondeterministic speed". *)
   let node me =
     let prng = Prng.create (seed + (7919 * (me + 1))) in
-    let mb = mailbox me in
-    let timers : (int, float) Hashtbl.t = Hashtbl.create 8 in
+    let mb, my_timer = Proc.Map.find me slots in
+    let timers = ref Timers.empty in
+    let disarm id = timers := Timers.filter (fun (_, i) -> i <> id) !timers in
     let state = ref (init me) in
     let events = ref 0 in
     let apply_effect = function
       | Iface.Send { dst; packet } -> send ~prng ~me dst packet
       | Iface.Set_timer { id; delay } ->
-          Hashtbl.replace timers id (Clock.now clock +. delay)
-      | Iface.Cancel_timer { id } -> Hashtbl.remove timers id
+          disarm id;
+          timers := Timers.add (Clock.now clock +. delay, id) !timers
+      | Iface.Cancel_timer { id } -> disarm id
       | Iface.Output out -> record_action out
     in
-    let handle f =
+    let handle ~now f =
       let pre = !state in
       let post, effects = f pre in
       state := post;
       incr events;
       (match observe with Some g -> g me pre post | None -> ());
-      List.iter apply_effect effects
+      List.iter apply_effect effects;
+      if stop_now now then halt ()
     in
-    let process_env ~now = function
-      | Input input -> handle (fun s -> handlers.Iface.on_input me ~now input s)
-      | Packet { src; data } -> (
-          match codec.Iface.dec data with
-          | Ok packet ->
-              handle (fun s -> handlers.Iface.on_packet me ~now ~src packet s)
-          | Error error ->
-              raise (Undecodable { src; dst = me; bytes = data; error }))
+    let process_env ~now env =
+      handle ~now (fun s ->
+          match env with
+          | Input input -> handlers.Iface.on_input me ~now input s
+          | Packet { src; data } -> (
+              match codec.Iface.dec data with
+              | Ok packet -> handlers.Iface.on_packet me ~now ~src packet s
+              | Error error ->
+                  raise (Undecodable { src; dst = me; bytes = data; error })))
     in
-    (* Lexicographic (deadline, id) minimum: the winner is the same
-       whatever order the fold visits entries in. *)
-    let due_timer now =
-      (Hashtbl.fold
-         (fun id deadline acc ->
-           if deadline > now then acc
-           else
-             match acc with
-             | Some (best_id, best)
-               when best < deadline
-                    || (Float.equal best deadline && best_id < id) ->
-                 acc
-             | _ -> Some (id, deadline))
-         timers None)
-      [@gcs.lint.allow "D1"]
+    let park version next =
+      Atomic.set my_timer next;
+      wake_for next;
+      Mailbox.wait mb version
     in
     (try
-       handle (fun s -> handlers.Iface.on_start me s);
+       handle ~now:(Clock.now clock) (fun s -> handlers.Iface.on_start me s);
        let rec loop () =
-         if Atomic.get stopped then ()
-         else
-           let now = Clock.now clock in
-           if now >= until then ()
-           else
-             match with_status (fun t -> Fstatus.proc_status t me) with
-             | Fstatus.Bad ->
-                 Mailbox.wait mb;
-                 loop ()
-             | status -> (
-                 if Fstatus.equal status Fstatus.Ugly then
-                   Clock.sleep (Prng.float prng *. config.ugly_delay_max);
-                 match due_timer now with
-                 | Some (id, _) ->
-                     Hashtbl.remove timers id;
-                     handle (fun s -> handlers.Iface.on_timer me ~now ~id s);
-                     loop ()
-                 | None -> (
-                     match Mailbox.pop_opt mb with
-                     | Some env ->
-                         process_env ~now env;
-                         loop ()
-                     | None ->
-                         Mailbox.wait mb;
-                         loop ()))
+         (* Read first: a tick or push after this point ends the park
+            below instead of being lost. *)
+         let version = Mailbox.version mb in
+         let now = Clock.now clock in
+         if not (Atomic.get stopped || now >= until) then begin
+           (match with_status (fun t -> Fstatus.proc_status t me) with
+           | Fstatus.Bad -> park version infinity
+           | status -> (
+               if Fstatus.equal status Fstatus.Ugly then
+                 Clock.sleep (Prng.float prng *. config.ugly_delay_max);
+               match Timers.min_elt_opt !timers with
+               | Some (at, id) when at <= now ->
+                   disarm id;
+                   handle ~now (fun s -> handlers.Iface.on_timer me ~now ~id s)
+               | next -> (
+                   match Mailbox.pop_opt mb with
+                   | Some env -> process_env ~now env
+                   | None ->
+                       park version (Option.fold ~none:infinity ~some:fst next))));
+           loop ()
+         end
        in
        loop ()
      with e -> record_failure e)
@@ -207,130 +210,118 @@ let run (type state input packet out) ?(config = default_config)
   let inputs =
     List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) inputs
   in
-  (* Input-swap tamper: exchange the payloads of one processor's [k]-th
-     and [k+1]-th submissions (0-based, in schedule order), keeping the
-     times — the transport pretending to reorder a client's stream. *)
-  let inputs =
-    match tamper.swap_inputs_at with
-    | None -> inputs
-    | Some (p, k) ->
-        let arr = Array.of_list inputs in
-        let mine =
-          List.filter_map
-            (fun (i, q) -> if Proc.equal q p then Some i else None)
-            (List.mapi (fun i (_, q, _) -> (i, q)) inputs)
-        in
-        (match (List.nth_opt mine k, List.nth_opt mine (k + 1)) with
-        | Some i, Some j ->
-            let ti, pi, vi = arr.(i) and tj, pj, vj = arr.(j) in
-            arr.(i) <- (ti, pi, vj);
-            arr.(j) <- (tj, pj, vi)
-        | _ -> ());
-        Array.to_list arr
-  in
   let now_inputs, later_inputs = List.partition (fun (t, _, _) -> t <= 0.0) inputs in
   List.iter (fun (_, p, input) -> deliver p (Input input)) now_inputs;
   let pending_inputs = ref later_inputs in
-  (* Causal admission: [admit] can hold an input past its scheduled time
-     until the outputs counter shows the previous submissions fully
-     processed — wall-clock spacing alone cannot serialize submissions
-     when the controller domain is descheduled longer than the gap, and
-     a collapsed gap lets a timestamp protocol pick a different (valid)
-     total order than the reference run. [admit_grace] bounds the hold:
-     an input stalled that long past its last sibling is injected
-     anyway, so an instrumented (mutant) run that withholds outputs
-     degrades to today's time-based pacing instead of wedging. *)
   let injected = ref (List.length now_inputs) in
-  let last_inject = ref 0.0 in
-  let admit_grace = 0.05 in
+  let statuses_applied = ref 0 in
+  let controller_wakes = ref 0 in
   let pending_failures =
     ref (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) failures)
   in
-  let statuses_applied = ref 0 in
   let domains = List.map (fun p -> Domain.spawn (fun () -> node p)) procs in
-  (* The controller runs in the calling domain: schedule keeping, ugly
-     deliveries, the ticker heartbeat, and the stop decision. *)
+  (* The controller runs in the calling domain. Each wake it applies due
+     failure events (ticking every mailbox, so a parked Bad node sees its
+     recovery), injects due submissions, delivers due ugly packets and
+     ticks nodes whose timer is due; then it sleeps until the earliest
+     remaining deadline or [until], or until a node writes the waker.
+     [admit] (causal admission, see the .mli) may hold a due input: it
+     raises [holding] and is asked again, so an output recorded before
+     the flag was visible is not missed. *)
+  let rec apply_failures now applied =
+    match !pending_failures with
+    | (t, event) :: rest when t <= now ->
+        Lock.with_lock status_lock (fun () -> tracker := Fstatus.apply !tracker event);
+        record (Timed.Status event);
+        incr statuses_applied;
+        pending_failures := rest;
+        apply_failures now true
+    | _ -> if applied then Proc.Map.iter (fun _ (mb, _) -> Mailbox.tick mb) slots
+  in
+  let admitted () =
+    match admit with
+    | None -> true
+    | Some f -> f ~outputs:(Atomic.get outputs) ~index:!injected
+  in
+  let rec inject now =
+    match !pending_inputs with
+    | (t, p, input) :: rest when t <= now && admitted () ->
+        Atomic.set holding false;
+        deliver p (Input input);
+        incr injected;
+        pending_inputs := rest;
+        inject now
+    | (t, _, _) :: _ when t <= now && not (Atomic.get holding) ->
+        Atomic.set holding true;
+        inject now
+    | _ -> ()
+  in
+  let deliver_wheel now =
+    Lock.with_lock wheel_lock (fun () ->
+        let due, _, later = Wheel.split (now, max_int) !wheel in
+        wheel := later;
+        due)
+    |> Wheel.iter (fun _ (dst, env) -> deliver dst env)
+  in
+  let tick_due now =
+    Proc.Map.iter
+      (fun _ (mb, at) ->
+        let t = Atomic.get at in
+        if t <= now && Atomic.compare_and_set at t infinity then Mailbox.tick mb)
+      slots
+  in
+  let earliest () =
+    let input = match !pending_inputs with (t, _, _) :: _ -> t | [] -> until in
+    let failure = match !pending_failures with (t, _) :: _ -> t | [] -> until in
+    let packet = Lock.with_lock wheel_lock (fun () -> Wheel.min_binding_opt !wheel) in
+    List.fold_left Float.min until
+      [ (if Atomic.get holding then until else input); failure;
+        Option.fold ~none:until ~some:(fun ((t, _), _) -> t) packet ]
+    |> Proc.Map.fold (fun _ (_, at) d -> Float.min d (Atomic.get at)) slots
+  in
   let rec control () =
-    if Atomic.get stopped then ()
-    else begin
-      let now = Clock.now clock in
-      let rec apply_failures () =
-        match !pending_failures with
-        | (t, event) :: rest when t <= now ->
-            Lock.with_lock status_lock (fun () ->
-                tracker := Fstatus.apply !tracker event);
-            record (Timed.Status event);
-            incr statuses_applied;
-            pending_failures := rest;
-            apply_failures ()
-        | _ -> ()
-      in
-      apply_failures ();
-      let admitted () =
-        match admit with
-        | None -> true
-        | Some f ->
-            f ~outputs:(Atomic.get outputs) ~index:!injected
-            || now -. !last_inject >= admit_grace
-      in
-      let rec inject () =
-        match !pending_inputs with
-        | (t, p, input) :: rest when t <= now && admitted () ->
-            deliver p (Input input);
-            incr injected;
-            last_inject := now;
-            pending_inputs := rest;
-            inject ()
-        | _ -> ()
-      in
-      inject ();
-      let due =
-        Lock.with_lock wheel_lock (fun () ->
-            let due, still =
-              List.partition (fun (t, _, _) -> t <= now) !wheel
-            in
-            wheel := still;
-            due)
-      in
-      List.iter
-        (fun (_, dst, env) -> deliver dst env)
-        (List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) due);
-      (match stop with
-      | Some f when f ~now ~outputs:(Atomic.get outputs) ->
-          Atomic.set stopped true
-      | _ -> ());
-      if now >= until then Atomic.set stopped true;
-      if not (Atomic.get stopped) then begin
-        Proc.Map.iter (fun _ mb -> Mailbox.tick mb) mailboxes;
-        Clock.sleep config.poll_interval;
-        control ()
-      end
+    let now = Clock.now clock in
+    apply_failures now false;
+    inject now;
+    deliver_wheel now;
+    tick_due now;
+    if now >= until || stop_now now then halt ();
+    if not (Atomic.get stopped) then begin
+      (* Publish the target, then look again: a deadline published
+         before its publisher could see the target shows up here. *)
+      let due = earliest () in
+      Atomic.set target due;
+      if earliest () >= due && due > Clock.now clock then begin
+        Clock.wait waker (due -. Clock.now clock);
+        incr controller_wakes
+      end;
+      Atomic.set target neg_infinity;
+      if not (Atomic.get stopped) then control ()
     end
   in
-  control ();
-  Atomic.set stopped true;
   (* Closing (a state, not an edge) wakes nodes that parked after the stop
-     flag was set — a final tick could race and strand them. *)
-  Proc.Map.iter (fun _ mb -> Mailbox.close mb) mailboxes;
-  let finals = List.map Domain.join domains in
+     flag was set — a final tick could race and strand them. The nodes
+     are joined even if the controller raises: none may write the waker
+     once [with_waker] closes it. *)
+  let finals = ref [] in
+  Fun.protect control ~finally:(fun () ->
+      Atomic.set stopped true;
+      Proc.Map.iter (fun _ (mb, _) -> Mailbox.close mb) slots;
+      finals := List.map Domain.join domains);
   (match Atomic.get fail_cell with Some e -> raise e | None -> ());
-  let final_states =
-    List.fold_left (fun m (p, s, _) -> Proc.Map.add p s m) Proc.Map.empty finals
-  in
-  let events_processed =
-    List.fold_left (fun acc (_, _, e) -> acc + e) 0 finals
-  in
-  let sent = Atomic.get packets_sent in
-  let dropped = Atomic.get packets_dropped in
+  let events_processed = List.fold_left (fun acc (_, _, e) -> acc + e) 0 !finals in
+  let sent = Atomic.get packets_sent and dropped = Atomic.get packets_dropped in
   Metrics.incr ~by:sent metrics "bus.packets_sent";
   Metrics.incr ~by:(Atomic.get sent_self) metrics "bus.packets_sent.self";
   Metrics.incr ~by:dropped metrics "bus.packets_dropped";
   Metrics.incr ~by:events_processed metrics "bus.events_processed";
   Metrics.incr ~by:!statuses_applied metrics "bus.statuses_applied";
+  Metrics.incr ~by:!controller_wakes metrics "bus.controller_wakes";
   Metrics.set_gauge metrics "bus.wall_s" (Clock.now clock);
   {
     Iface.trace = List.rev !trace_rev;
-    final_states;
+    final_states =
+      List.fold_left (fun m (p, s, _) -> Proc.Map.add p s m) Proc.Map.empty !finals;
     events_processed;
     packets_sent = sent;
     packets_dropped = dropped;
@@ -338,13 +329,12 @@ let run (type state input packet out) ?(config = default_config)
     metrics;
   }
 
-let backend ?(config = default_config) ?(tamper = no_tamper) ?admit
-    ?lock_registry () : Iface.backend =
+let backend ?(config = default_config) ?admit ?lock_registry () : Iface.backend =
   (module struct
     let name = "bus"
 
     let run ?metrics ?observe ?stop codec ~procs ~handlers ~init ~inputs
         ~failures ~until ~seed =
-      run ~config ~tamper ?admit ?metrics ?lock_registry ?observe ?stop codec
+      run ~config ?admit ?metrics ?lock_registry ?observe ?stop codec
         ~procs ~handlers ~init ~inputs ~failures ~until ~seed
   end)

@@ -5,13 +5,17 @@ open Gcs_core
     Each processor runs as its own OCaml domain with a mutex/condition
     {!Mailbox}; packets are {!Iface.codec}-serialized strings (the same
     codec path later extends to Unix sockets); time is the monotonic wall
-    clock ({!Clock}). A controller loop in the calling domain injects the
+    clock ({!Clock}). A controller in the calling domain injects the
     client workload at its scheduled offsets, applies the failure-status
     schedule (crashes hold a processor's events, partitions drop packets
     at send time, ugly links delay or drop — the Section 3.2 fault model
-    approximated in wall time), delivers delayed packets, and ticks every
-    mailbox each [poll_interval] so timer deadlines never oversleep by
-    more than a tick.
+    approximated in wall time), delivers delayed packets, and wakes a
+    parked node when its next timer falls due. It does not poll: it
+    sleeps until the earliest of those deadlines or [until], and a node
+    that parks with an earlier timer, delays a packet past an earlier
+    deadline, records the output a held submission waits for, or ends
+    the run wakes it early. An idle run costs the
+    controller O(1) wake-ups.
 
     Guarantees (the contract the cross-transport suite checks):
     - {e same automata}: handlers written against {!Iface} run unchanged;
@@ -33,31 +37,13 @@ open Gcs_core
     differential oracle rather than a second source of bugs. *)
 
 type config = {
-  poll_interval : float;
-      (** controller tick period in seconds (timer wake-up bound) *)
   ugly_drop_prob : float;  (** ugly link: drop probability at send *)
   ugly_delay_max : float;
       (** ugly link/processor: extra delay drawn uniformly below this *)
 }
 
 val default_config : config
-(** 2 ms ticks, drop probability 0.5, 50 ms maximum ugly delay. *)
-
-type tamper = {
-  swap_inputs_at : (Proc.t * int) option;
-      (** at (node, k): exchange the payloads of that node's [k]-th and
-          [k+1]-th client submissions (0-based), keeping their times *)
-}
-(** Planted transport fault for the differential fuzzer's mutant
-    gauntlet: an input-queue transposition a single execution cannot
-    distinguish from legal client-side timing — the run is a valid
-    execution of the {e transposed} schedule, so no trace-conformance
-    or invariant oracle fires; its {e only} symptom is divergence from
-    a reference execution of the real schedule. It never drops or
-    duplicates; with fewer than [k+2] submissions at the node it
-    degrades to a no-op. *)
-
-val no_tamper : tamper
+(** Drop probability 0.5, 50 ms maximum ugly delay. *)
 
 exception
   Undecodable of { src : Proc.t; dst : Proc.t; bytes : string; error : string }
@@ -67,7 +53,6 @@ exception
 
 val run :
   ?config:config ->
-  ?tamper:tamper ->
   ?admit:(outputs:int -> index:int -> bool) ->
   ?metrics:Gcs_stdx.Metrics.t ->
   ?lock_registry:Gcs_stdx.Lock.registry ->
@@ -90,15 +75,22 @@ val run :
     delays and drops); it does not make the bus deterministic.
 
     The run's [metrics] gains a [bus.*] section: packets sent/dropped,
-    events processed, statuses applied, and the wall seconds spent.
+    events processed, statuses applied, the controller's wake-ups
+    ([bus.controller_wakes]: sleeps that ended, by deadline or by a
+    node's wake) and the wall seconds spent.
+
+    [stop] is asked after every handled event, from that node's domain,
+    and by the controller at each of its wake-ups; the first to see it
+    hold ends the run.
 
     [admit] adds causal admission control on top of the time schedule:
     a pending input at 0-based schedule position [index] is injected
     only once [admit ~outputs ~index] holds (where [outputs] is the
-    number of outputs recorded so far) — or once it has waited a fixed
-    grace period past the previous injection, so an instrumented run
-    that withholds outputs degrades to time-based pacing instead of
-    wedging. The differential fuzzer uses it to keep submissions
+    number of outputs recorded so far). While a due input is held, and
+    only then, every recorded output wakes the controller to ask again;
+    a run whose outputs never satisfy [admit] injects nothing more
+    before [until], so a caller whose handlers may withhold outputs must
+    not pass it. The differential fuzzer uses it to keep submissions
     serialized under controller-scheduling jitter: wall-clock spacing
     alone cannot guarantee submission [i+1] lands after submission [i]
     is fully processed, and for a timestamp protocol a collapsed gap
@@ -119,12 +111,9 @@ val run :
 
 val backend :
   ?config:config ->
-  ?tamper:tamper ->
   ?admit:(outputs:int -> index:int -> bool) ->
   ?lock_registry:Gcs_stdx.Lock.registry ->
   unit ->
   Iface.backend
-(** The bus packaged as a pluggable {!Iface.BACKEND} (named ["bus"]).
-    [tamper] bakes a planted transport fault into the backend — the
-    differential fuzzer hands such a backend to the candidate side
-    only — and [admit] bakes in the admission predicate (see {!run}). *)
+(** The bus packaged as a pluggable {!Iface.BACKEND} (named ["bus"]);
+    [admit] bakes in the admission predicate (see {!run}). *)

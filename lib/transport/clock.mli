@@ -25,3 +25,29 @@ val now : t -> float
 val sleep : float -> unit
 (** Block the calling domain for (at least) the given seconds; negative
     or zero durations return immediately. *)
+
+(** {2 Timed waits}
+
+    OCaml's [Condition] has no timed wait, so a domain that must wake at
+    a deadline {e or} on another domain's signal sleeps here instead: a
+    [wait] on a {!waker} returns once its timeout elapses or once any
+    domain calls {!wake}, whichever comes first. *)
+
+type waker
+
+val with_waker : (waker -> 'a) -> 'a
+(** [with_waker f] runs [f] on a fresh waker (a non-blocking self-pipe)
+    and closes both of its ends when [f] returns or raises, so a process
+    that makes thousands of runs keeps its descriptors below
+    [FD_SETSIZE]. The waker must not be used after [f] returns. *)
+
+val wake : waker -> unit
+(** Make the current or next [wait] return at once. Never blocks; wakes
+    that pile up before a [wait] coalesce into one. Safe from any
+    domain. *)
+
+val wait : waker -> float -> unit
+(** [wait k timeout] blocks the calling domain until a {!wake} or
+    [timeout] seconds (a non-positive timeout only polls), then clears
+    every pending wake. It may also return early (an interrupted
+    system call); callers recheck their deadlines. *)

@@ -110,7 +110,10 @@ module type BACKEND = sig
       sleeping out a conservative wall-clock horizon ([now] lets a
       predicate refuse to stop before a fault schedule has fully
       played). The simulator asks it after every event, so a stopped
-      simulated run is a prefix of the run to the horizon. *)
+      simulated run is a prefix of the run to the horizon. A concurrent
+      backend asks it after every event too, from the domain that
+      handled the event, so it may run in any node's domain at once: it
+      must read only atomics (or other domain-safe state). *)
 end
 
 type backend = (module BACKEND)

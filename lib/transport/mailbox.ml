@@ -6,7 +6,9 @@ type 'a t = {
   mutable front : 'a list;  (* oldest first *)
   mutable back : 'a list;  (* newest first *)
   mutable size : int;
-  mutable wakes : int;  (* pushes + ticks; versions the condition *)
+  wakes : int Atomic.t;
+      (* pushes + ticks; versions the condition. Bumped under [lock],
+         read without it by [version]. *)
   mutable closed : bool;  (* once set, wait/recv never block again *)
 }
 
@@ -17,7 +19,7 @@ let create ?registry ?(name = "mailbox") () =
     front = [];
     back = [];
     size = 0;
-    wakes = 0;
+    wakes = Atomic.make 0;
     closed = false;
   }
 
@@ -25,7 +27,7 @@ let push t x =
   Lock.with_lock t.lock (fun () ->
       t.back <- x :: t.back;
       t.size <- t.size + 1;
-      t.wakes <- t.wakes + 1;
+      Atomic.incr t.wakes;
       Condition.broadcast t.cond)
 
 (* Caller holds [t.lock]. *)
@@ -48,10 +50,11 @@ let pop_opt t = Lock.with_lock t.lock (fun () -> pop_locked t)
 
 let length t = Lock.with_lock t.lock (fun () -> t.size)
 
-let wait t =
+let version t = Atomic.get t.wakes
+
+let wait t since =
   Lock.with_lock t.lock (fun () ->
-      let entry = t.wakes in
-      while (not t.closed) && t.wakes = entry && t.size = 0 do
+      while (not t.closed) && Atomic.get t.wakes = since do
         Lock.wait t.cond t.lock
       done)
 
@@ -75,7 +78,7 @@ let recv t =
 
 let tick t =
   Lock.with_lock t.lock (fun () ->
-      t.wakes <- t.wakes + 1;
+      Atomic.incr t.wakes;
       Condition.broadcast t.cond)
 
 let close t =

@@ -6,11 +6,12 @@
     push order (the per-directed-link FIFO the bus promises).
 
     OCaml's [Condition] has no timed wait, and a node must also wake for
-    its {e timer} deadlines, not just for traffic — so waiting is bounded
-    cooperatively: the bus runs a ticker that calls [tick] on every
-    mailbox at a small fixed period, and [wait] returns on the first push
-    {e or} tick after it was called. The owner then rechecks its timers,
-    its failure status and the horizon. *)
+    its {e timer} deadlines and status changes, not just for traffic — so
+    the bus's controller calls [tick] on a mailbox when its owner's next
+    timer falls due or a failure event is applied. A wake is versioned:
+    the owner reads {!version} {e before} it looks at its timers, status
+    and queue, and [wait]s on that version, so a tick that lands anywhere
+    after the read ends the wait instead of being lost. *)
 
 type 'a t
 
@@ -35,10 +36,15 @@ val recv : 'a t -> 'a option
 
 val length : 'a t -> int
 
-val wait : 'a t -> unit
-(** Block until a [push], [tick] or [close] strictly after this call
-    began (immediately if already closed). Returns with no element
-    guarantee — callers recheck. *)
+val version : 'a t -> int
+(** The number of [push]es and [tick]s so far. Lock-free. *)
+
+val wait : 'a t -> int -> unit
+(** [wait t v] blocks until the mailbox is closed or its {!version}
+    differs from [v] (immediately if either already holds). Elements
+    pushed before [v] was read do not end the wait, so an owner that
+    must not handle them yet (a crashed node) parks instead of
+    spinning. Returns with no element guarantee — callers recheck. *)
 
 val close : 'a t -> unit
 (** Make [wait] non-blocking forever after (and [recv] return [None]
@@ -50,5 +56,5 @@ val close : 'a t -> unit
     — it rechecks the stop flag on every wake). *)
 
 val tick : 'a t -> unit
-(** Wake the owner without delivering anything (the ticker's heartbeat,
-    bounding how long a timer deadline can oversleep). *)
+(** Wake the owner without delivering anything (a due timer or a status
+    change for it to recheck). *)

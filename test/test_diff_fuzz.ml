@@ -90,7 +90,9 @@ let test_seeded_pairs_batched () = run_seeded_pairs ~batch_window:0.05 ()
 
 let test_diff_mutant (m : Diff_mutant.t) () =
   let outcome =
-    Fuzz.run ?mutant:m.Diff_mutant.mutant ?tamper:m.Diff_mutant.tamper ~pair:m.Diff_mutant.pair ~jobs:2 ~config
+    Fuzz.run ?mutant:m.Diff_mutant.mutant ?tamper:m.Diff_mutant.tamper
+      ~withholds_outputs:m.Diff_mutant.withholds_outputs
+      ~pair:m.Diff_mutant.pair ~jobs:2 ~config
       ~seed:7 ~execs:200 ~shrink_budget:300 ()
   in
   match (outcome.Fuzz.failure, outcome.Fuzz.shrunk) with

@@ -250,6 +250,10 @@ let c4 =
     fires "a blocking Mailbox.recv under a held lock fires" ~path:apps
       ~rule:"C4"
       "let f l mb = Lock.with_lock l (fun () -> Mailbox.recv mb)";
+    fires "a timed Clock.wait under a held lock fires" ~path:apps ~rule:"C4"
+      "let f l k = Lock.with_lock l (fun () -> Clock.wait k 0.01)";
+    fires "Unix.select under a held lock fires" ~path:apps ~rule:"C4"
+      "let f l r = Lock.with_lock l (fun () -> Unix.select [ r ] [] [] 0.01)";
     fires "Lock.wait while holding a second lock fires" ~path:apps
       ~rule:"C4"
       "let f a b c =\n\

@@ -293,6 +293,105 @@ let test_undecodable () =
       Alcotest.(check string) "bytes" "poison" bytes;
       Alcotest.(check string) "error" "poisoned frame" error
 
+(* ------------------------------------------------------------------ *)
+(* The bus controller sleeps until its earliest deadline instead of
+   polling: an idle run costs O(1) wakes, a timer armed while it sleeps
+   toward a far horizon still fires on time, a recovery reaches a parked
+   node without a tick, and the self-pipe is closed after every run. *)
+
+module Bus = Gcs_transport.Bus
+
+let bus_run ?stop ?(procs = procs) ?(handlers = relay_handlers) ~inputs
+    ~failures ~until () =
+  Bus.run ?stop I.string_codec ~procs ~handlers
+    ~init:(fun _ -> ())
+    ~inputs ~failures ~until ~seed:42
+
+let wakes result =
+  Gcs_stdx.Metrics.counter result.I.metrics "bus.controller_wakes"
+
+let wall result =
+  Option.value ~default:nan
+    (Gcs_stdx.Metrics.gauge result.I.metrics "bus.wall_s")
+
+let test_idle_wakes () =
+  let result = bus_run ~inputs:[] ~failures:[] ~until:0.5 () in
+  if wakes result > 3 then
+    Alcotest.failf "an idle 0.5 s run woke the controller %d times"
+      (wakes result)
+
+(* Node 0 relays an input to node 1 while the controller sleeps toward
+   a 5 s horizon; node 1 arms a 10 ms timer whose firing is the only
+   output. The run ends on that output, so it must fire near 10 ms. *)
+let test_timer_while_asleep () =
+  let handlers =
+    {
+      relay_handlers with
+      I.on_packet =
+        (fun _ ~now:_ ~src:_ _ s ->
+          (s, [ I.Set_timer { id = 1; delay = 0.01 } ]));
+      on_timer =
+        (fun me ~now:_ ~id:_ s ->
+          (s, [ I.Output { at = me; src = me; payload = "t" } ]));
+    }
+  in
+  let result =
+    bus_run ~handlers
+      ~stop:(fun ~now:_ ~outputs -> outputs >= 1)
+      ~inputs:[ (0.02, 0, { dst = 1; payload = "go" }) ]
+      ~failures:[] ~until:5.0 ()
+  in
+  Alcotest.(check (list string)) "the timer fired" [ "t" ]
+    (received_at 1 result.I.trace);
+  if wall result > 1.0 then
+    Alcotest.failf "a 10 ms timer ended the run only after %.3f s" (wall result)
+
+(* Node 1 is Bad from 0 to 20 ms; its input arrives at 5 ms and waits in
+   its mailbox. The recovery is the last scheduled event, so nothing but
+   the controller's wake on the status change can make it handle the
+   input before the 5 s horizon. *)
+let test_recovery_wakes_parked_node () =
+  let result =
+    bus_run
+      ~stop:(fun ~now:_ ~outputs -> outputs >= 1)
+      ~inputs:[ (0.005, 0, { dst = 1; payload = "held" }) ]
+      ~failures:
+        [
+          (0.0, Fstatus.Proc_status (1, Fstatus.Bad));
+          (0.02, Fstatus.Proc_status (1, Fstatus.Good));
+        ]
+      ~until:5.0 ()
+  in
+  match outputs_at 1 result.I.trace with
+  | [ (t, _) ] ->
+      if t < 0.02 then Alcotest.failf "handled at %.4f while Bad" t;
+      if wall result > 1.0 then
+        Alcotest.failf "recovery reached the node only after %.3f s"
+          (wall result)
+  | l -> Alcotest.failf "%d deliveries at node 1, expected 1" (List.length l)
+
+(* 1,000 back-to-back runs, every tenth ending in a handler exception:
+   the controller's self-pipe is closed either way. *)
+let test_no_fd_leak () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let boom =
+      { relay_handlers with I.on_start = (fun _ _ -> failwith "boom") }
+    in
+    let before = fds () in
+    for i = 1 to 1000 do
+      let handlers = if i mod 10 = 0 then boom else relay_handlers in
+      match
+        bus_run ~procs:[ 0 ] ~handlers
+          ~stop:(fun ~now:_ ~outputs:_ -> true)
+          ~inputs:[] ~failures:[] ~until:5.0 ()
+      with
+      | _ -> ()
+      | exception Failure _ -> ()
+    done;
+    Alcotest.(check int) "open descriptors" before (fds ())
+  end
+
 let () =
   Alcotest.run "transport contract"
     [
@@ -303,5 +402,16 @@ let () =
         [
           Alcotest.test_case "undecodable frame is a typed verdict" `Quick
             test_undecodable;
+        ] );
+      ( "bus controller",
+        [
+          Alcotest.test_case "an idle run wakes O(1) times" `Quick
+            test_idle_wakes;
+          Alcotest.test_case "a timer armed while asleep fires" `Quick
+            test_timer_while_asleep;
+          Alcotest.test_case "recovery wakes a parked node" `Quick
+            test_recovery_wakes_parked_node;
+          Alcotest.test_case "1000 runs leak no descriptor" `Quick
+            test_no_fd_leak;
         ] );
     ]
