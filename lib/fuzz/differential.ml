@@ -37,7 +37,7 @@ let all =
     sim_bus Services.skeen;
     cross Services.skeen;
     cross Services.sequencer;
-    sim_bus ~name:"sim-bus-batched" ~batch_window:0.05 Services.vstoto;
+    sim_bus ~name:"sim-bus-batched" ~batch_window:50.0 Services.vstoto;
   ]
 
 let of_name s = List.find_opt (fun p -> String.equal p.name s) all

@@ -61,8 +61,10 @@ val sim_bus :
 
 val all : pair list
 (** The named pairs: [sim-bus] and [sim-bus-batched] (VStoTO, the second
-    with a 0.05 s batch window), [skeen-bus], and the simulated
-    cross-protocol pairs [vstoto-skeen] and [vstoto-sequencer]. *)
+    with a batch window of 50, far longer than a token rotation on either
+    clock, so a token visit closes every batch on both sides), [skeen-bus],
+    and the simulated cross-protocol pairs [vstoto-skeen] and
+    [vstoto-sequencer]. *)
 
 val of_name : string -> pair option
 
@@ -87,6 +89,16 @@ val execute :
     service than the pair's candidate raises
     [Invalid_argument] as soon as the pair is applied, before anything
     runs. *)
+
+val anchor :
+  ?withholds_outputs:bool ->
+  pair ->
+  config:Gcs_impl.To_service.config ->
+  Input.t ->
+  Gcs_impl.To_service.config * Input.t * Gcs_transport.Iface.backend option
+(** The shared configuration, the scheduled input and the candidate's
+    backend ([None]: the simulator) that {!execute} runs both sides
+    with, for a fault-free input. *)
 
 val oracle :
   ?tamper:tamper ->

@@ -213,18 +213,7 @@ let lift_vs ?metrics config me f node =
   |> close_batch ?metrics config me
 
 let handlers ?metrics config =
-  (* With a batch window, each node's first value leaves at once and the
-     values after it are staged. No token collects that first send before
-     the leader's first launch, so staging closes when the window does, at
-     ~window on any clock. Pushing the first launch past it (3x margin)
-     puts every node's opening sends in its outbuf before any token
-     collects, so the first rotation's pickup order — leader's sends, then
-     followers' in ring order — is backend-independent. See
-     [Vs_node.handlers]. *)
-  let first_launch_delay =
-    Option.map (fun w -> 3.0 *. w) config.batch_window
-  in
-  let vs_handlers = Vs_node.handlers ?metrics ?first_launch_delay config.vs in
+  let vs_handlers = Vs_node.handlers ?metrics config.vs in
   let on_start me node =
     lift_vs ?metrics config me (vs_handlers.Engine.on_start me) node
   in

@@ -360,17 +360,13 @@ let launch_token ?metrics config ~now state =
    The launch goes through the launch timer at delay 0, never inside the
    send that asked for it: a launch emits gprcv/safe outputs, and a layer
    that hands sends in through [client_send] (the TO service's drain)
-   passes that call's effects on without feeding them back. Before the
-   deferred first launch ([first_launch_delay]) no token has left yet
-   and that launch collects the message anyway, so the [Want] is
-   absorbed and the first launch time stays clock-independent. *)
+   passes that call's effects on without feeding them back. *)
 let want state viewid =
   match state.current with
   | Some view
     when View_id.equal view.View.id viewid
          && Proc.equal (leader_of view) state.me ->
       if state.token_outstanding then ({ state with demand = true }, [])
-      else if Float.equal state.last_launch neg_infinity then (state, [])
       else (state, [ Engine.Set_timer { id = timer_launch; delay = 0.0 } ])
   | _ -> (state, [])
 
@@ -419,7 +415,7 @@ let probe_targets ?(protocol = Three_round) config state =
             List.filter (fun p -> not (View.mem p view)) config.procs
           else [])
 
-let on_start ?metrics ?first_launch_delay config me state =
+let on_start ?metrics config me state =
   ignore me;
   let probe =
     Engine.Set_timer
@@ -436,21 +432,8 @@ let on_start ?metrics ?first_launch_delay config me state =
           { id = timer_token_timeout; delay = token_timeout config }
       in
       if Proc.equal (leader_of view) state.me then
-        match first_launch_delay with
-        | Some delay when delay > 0.0 ->
-            (* Defer the very first launch (instead of launching inside
-               [on_start]): layers that stage client submissions — the TO
-               service's batch window — use this so every node's opening
-               sends (its first value, sent at once, and the batch the
-               window closes after it) land in its outbuf before any token
-               can collect them, making the first rotation's pickup order
-               clock-independent.
-               Subsequent launches (relaunches, heartbeats, view
-               installs) are unaffected. *)
-            (state, [ probe; rearm; Engine.Set_timer { id = timer_launch; delay } ])
-        | _ ->
-            let state, effects = launch_token ?metrics config ~now:0.0 state in
-            (state, (probe :: rearm :: effects))
+        let state, effects = launch_token ?metrics config ~now:0.0 state in
+        (state, (probe :: rearm :: effects))
       else (state, [ probe; rearm ])
 
 let on_input _config me ~now:_ msg state =
@@ -553,9 +536,9 @@ let on_timer ?metrics ?(protocol = Three_round) config me ~now ~id state =
   else if id = timer_launch then launch_token ?metrics config ~now state
   else (state, [])
 
-let handlers ?metrics ?(protocol = Three_round) ?first_launch_delay config =
+let handlers ?metrics ?(protocol = Three_round) config =
   {
-    Engine.on_start = on_start ?metrics ?first_launch_delay config;
+    Engine.on_start = on_start ?metrics config;
     on_input = on_input config;
     on_packet = on_packet ?metrics ~protocol config;
     on_timer = on_timer ?metrics ~protocol config;

@@ -48,7 +48,6 @@ val initial : config -> Proc.t -> 'm state
 val handlers :
   ?metrics:Gcs_stdx.Metrics.t ->
   ?protocol:protocol ->
-  ?first_launch_delay:float ->
   config ->
   ('m state, 'm, 'm Wire.packet, 'm Vs_action.t) Gcs_sim.Engine.handlers
 (** Inputs are client messages ([gpsnd]); outputs are VS external
@@ -60,17 +59,11 @@ val handlers :
     ([vs.token_roundtrips], every return to the leader) and membership
     rounds initiated.
 
-    [first_launch_delay]: defer the leader's {e first} token launch by
-    that long instead of launching at [on_start]. Layers that stage
-    client submissions (the TO service's batch window) set it past the
-    first window flush, so whether a node's opening sends board the
-    first rotation does not depend on the backend's clock; launches
-    after view installs are unaffected. A [Want] that reaches the leader
-    before that first launch is absorbed by it: the launch collects the
-    message anyway, and its time does not move. Later launches follow the
-    usual rule: immediately while the returned token carries entries or
-    a [Want] arrived while it was out, at once on a [Want] while it
-    rests, and otherwise [pi] after the last launch. *)
+    A leader launches the token as soon as its view exists: at
+    [on_start] for the initial view, at install for a later one. Later
+    launches follow one rule: immediately while the returned token
+    carries entries or a [Want] arrived while it was out, at once on a
+    [Want] while it rests, and otherwise [pi] after the last launch. *)
 
 val client_send :
   config ->
@@ -98,10 +91,7 @@ val uncollected : 'm state -> int
 (** Client sends of the current view that no token visit has collected
     yet: the outbuf past its length at the last visit. The TO service
     closes a batch when this is 0: a token has carried the node's
-    previous send, so holding the next values back only adds delay.
-    Until the leader's deferred first launch ([first_launch_delay])
-    nothing is collected, so each node's first send stays uncollected
-    and the values after it wait out the batch window. *)
+    previous send, so holding the next values back only adds delay. *)
 
 val stored_token_entries : 'm state -> int option
 (** Number of entries in the absorbed token at the leader ([None] at

@@ -51,14 +51,13 @@ let soak_iters =
 
 let sweep_pairs = 8 * soak_iters
 
-let run_seeded_pairs ?batch_window () =
+let run_seeded_pairs pair_name =
   let procs = Proc.all ~n:3 in
   let config =
     To_service.make_config { vs_config with Vs_node.procs; p0 = procs }
   in
   let execute =
-    Differential.execute ~config
-      (Differential.sim_bus ?batch_window Services.vstoto)
+    Differential.execute ~config (Option.get (Differential.of_name pair_name))
   in
   for i = 0 to sweep_pairs - 1 do
     let seed = 1000 + (i * 131) in
@@ -79,12 +78,63 @@ let run_seeded_pairs ?batch_window () =
       36 obs.Runner.deliveries
   done
 
-let test_seeded_pairs () = run_seeded_pairs ()
+let test_seeded_pairs () = run_seeded_pairs "sim-bus"
 
-(* The same sweep with submission batching on: each origin's workload
-   leaves as one batch, and sim and bus must still agree on every
-   per-node delivered order. *)
-let test_seeded_pairs_batched () = run_seeded_pairs ~batch_window:0.05 ()
+(* The same sweep with submission batching on: each origin's first value
+   leaves at once and the first token visit closes the batch of the rest,
+   and sim and bus must still agree on every per-node delivered order. *)
+let test_seeded_pairs_batched () = run_seeded_pairs "sim-bus-batched"
+
+(* The batched pair must stay batched: were every value to leave alone,
+   it would be [sim-bus] under another name. Its round-robin seed
+   schedule forms a multi-value [Msg.Batch] on both clocks. *)
+let test_batched_pair_batches () =
+  let procs = Proc.all ~n:3 in
+  let pair = Option.get (Differential.of_name "sim-bus-batched") in
+  let input =
+    List.hd (Differential.seed_inputs ~procs ~prng:(Gcs_stdx.Prng.create 1))
+  in
+  let config, input, bus =
+    Differential.anchor pair
+      ~config:(To_service.make_config { vs_config with Vs_node.procs; p0 = procs })
+      input
+  in
+  let service : _ Gcs_conformance.Service.s = (module Services.Vstoto) in
+  let workload =
+    List.map
+      (fun (t, p, v) -> (t, p, Services.Vstoto.lift config p v))
+      input.Input.workload
+  in
+  let largest_batch label ~until backend =
+    let metrics = Gcs_stdx.Metrics.create () in
+    let observe, stop =
+      Gcs_conformance.Service.drained service config ~workload
+        ~after:Float.neg_infinity
+    in
+    let result =
+      Gcs_conformance.Service.run service ~metrics ?observe ~stop ~backend
+        config ~workload ~failures:[] ~until ~seed:input.Input.seed
+    in
+    Alcotest.(check int)
+      (label ^ " delivered everything")
+      (List.length procs * List.length workload)
+      (snd
+         (Gcs_conformance.Service.tally
+            (Services.Vstoto.client_trace result.Gcs_transport.Iface.trace)));
+    match Gcs_stdx.Metrics.histogram metrics "to.batch_size" with
+    | Some (_, _, _, largest) -> largest
+    | None -> 0.0
+  in
+  let sim =
+    largest_batch "sim" ~until:400.0
+      (Gcs_conformance.Service.sim Services.vstoto
+         ~delta:config.To_service.vs.Vs_node.delta)
+  in
+  let bus = largest_batch "bus" ~until:30.0 (Option.get bus) in
+  Alcotest.(check bool)
+    (Printf.sprintf "multi-value batches on both sides (sim %g, bus %g)" sim bus)
+    true
+    (sim > 1.0 && bus > 1.0)
 
 (* --------------------------- planted bugs ---------------------------- *)
 
@@ -210,6 +260,8 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d seeded pairs (batched)" sweep_pairs)
             `Slow test_seeded_pairs_batched;
+          Alcotest.test_case "batched pair forms batches" `Quick
+            test_batched_pair_batches;
         ] );
       ("open", open_cases);
       ("planted", mutant_cases);

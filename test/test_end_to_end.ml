@@ -391,6 +391,39 @@ let test_token_closes_batch () =
     (List.length (gpsnds effects));
   Alcotest.(check int) "staging drained by the window" 0 (staged node)
 
+let test_token_starts_at_once () =
+  (* A batch window does not hold the token back: the leader launches at
+     start, as without one, so a preloaded run's first gprcv comes within
+     a rotation, well before three windows. Deterministic: the
+     conformance suite's sim profile. *)
+  let window = 2.0 in
+  let profile =
+    Gcs_nemesis.Suite.sim_profile ~batch_window:window
+      Gcs_conformance.Services.vstoto
+  in
+  let config = profile.Gcs_nemesis.Suite.config in
+  let wl =
+    List.concat_map
+      (fun p -> List.init 3 (fun k -> (0.0, p, Printf.sprintf "p%d.%d" p k)))
+      config.To_service.vs.Vs_node.procs
+  in
+  let run =
+    To_service.run config ~workload:wl ~failures:[] ~until:100.0 ~seed:1
+  in
+  let first_gprcv =
+    List.find_map
+      (function t, Vs_action.Gprcv _ -> Some t | _ -> None)
+      (Timed.actions (To_service.vs_trace run))
+  in
+  match first_gprcv with
+  | None -> Alcotest.fail "no gprcv in a preloaded run"
+  | Some t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "first gprcv at %g, before 3 windows (%g)" t
+           (3.0 *. window))
+        true
+        (t < 3.0 *. window)
+
 let test_submit_during_view_change () =
   (* Regression: values staged when a Newview lands must be flushed into
      the new view, not stranded. A steady submission stream across a
@@ -563,6 +596,8 @@ let () =
             test_batching_timer_invariant;
           Alcotest.test_case "token visit closes the batch" `Quick
             test_token_closes_batch;
+          Alcotest.test_case "token starts at once under a window" `Quick
+            test_token_starts_at_once;
           Alcotest.test_case "submit during view change" `Quick
             test_submit_during_view_change;
         ] );

@@ -150,7 +150,9 @@ let test_sequencer () =
    the fold: VStoTO plain and batched, Skeen on its mixed-addressing
    workload (full group, pairs from the origin, triples from the index).
    The batched row was re-recorded when token visits began closing
-   batches: the same bcasts and deliveries, in fewer events. *)
+   batches (the same bcasts and deliveries, in fewer events), and again
+   when the token began launching at start under a batch window too (the
+   same counts; the first rotation runs at once, so more events). *)
 let test_suite () =
   let outcomes profile =
     List.map
@@ -173,11 +175,11 @@ let test_suite () =
   Alcotest.(check (list string))
     "vstoto batched"
     [
-      "clean 12 36 309";
-      "partition-heal 12 36 473";
-      "crash-recover 12 36 440";
-      "ugly-link 12 36 449";
-      "slow-processor 12 36 430";
+      "clean 12 36 323";
+      "partition-heal 12 36 485";
+      "crash-recover 12 36 452";
+      "ugly-link 12 36 462";
+      "slow-processor 12 36 433";
     ]
     (outcomes (sim ~batch_window:2.0 Services.vstoto));
   Alcotest.(check (list string))

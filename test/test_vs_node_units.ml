@@ -149,19 +149,18 @@ let test_token_heartbeat_without_spin () =
     (lo <= launched && launched <= hi)
 
 (* A run of [Vs_node] on the simulator that also counts, per processor,
-   the [Want]s it sends, and the [Want]s it sends with no token visit
-   since its previous one ([repeats]). *)
-let counted_run ?first_launch_delay config ~workload ~until ~seed =
+   the [Want]s it sends with no token visit since its previous one
+   ([repeats]). *)
+let counted_run config ~workload ~until ~seed =
   let metrics = Gcs_stdx.Metrics.create () in
-  let wants = Hashtbl.create 8 and repeats = Hashtbl.create 8 in
+  let repeats = Hashtbl.create 8 in
   let asked = Hashtbl.create 8 in
   let bump tbl p = Hashtbl.replace tbl p (1 + Option.value ~default:0 (Hashtbl.find_opt tbl p)) in
-  let h = Vs_node.handlers ~metrics ?first_launch_delay config in
+  let h = Vs_node.handlers ~metrics config in
   let counting p (state, effects) =
     List.iter
       (function
         | Gcs_sim.Engine.Send { packet = Wire.Want _; _ } ->
-            bump wants p;
             if Hashtbl.mem asked p then bump repeats p;
             Hashtbl.replace asked p ()
         | _ -> ())
@@ -186,7 +185,7 @@ let counted_run ?first_launch_delay config ~workload ~until ~seed =
       ~inputs:workload ~failures:[] ~until ~prng:(Gcs_stdx.Prng.create seed)
   in
   let get tbl p = Option.value ~default:0 (Hashtbl.find_opt tbl p) in
-  (result, metrics, get wants, get repeats)
+  (result, metrics, get repeats)
 
 (* Demand launches cost at most a bounded number of launches per value.
    Each seed draws two to five bursts of sends (one origin, up to four
@@ -216,7 +215,7 @@ let test_launches_bounded_by_sends () =
       |> List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
     in
     let values = List.length workload in
-    let result, metrics, _, repeats =
+    let result, metrics, repeats =
       counted_run config ~workload ~until ~seed
     in
     let safes =
@@ -241,26 +240,6 @@ let test_launches_bounded_by_sends () =
             seed p (repeats p))
       config.Vs_node.procs
   done
-
-(* With [first_launch_delay] the leader's first launch is deferred (the
-   TO service's batch window). [Want]s that reach the leader before it
-   are absorbed: that launch collects their messages anyway, and its
-   time must not depend on when they arrive. The leader's own value is
-   delivered at the first launch, so its gprcv time is the launch time. *)
-let test_wants_absorbed_by_deferred_first_launch () =
-  let config = lone_value_config and delay = 10.0 in
-  let workload = [ (0.5, 0, "leader"); (0.5, 1, "a"); (1.0, 3, "b"); (2.0, 4, "c") ] in
-  let result, _, wants, _ =
-    counted_run ~first_launch_delay:delay config ~workload ~until:100.0 ~seed:1
-  in
-  Alcotest.(check int) "followers asked" 3 (wants 1 + wants 3 + wants 4);
-  let first_gprcv =
-    List.find_map
-      (function t, Vs_action.Gprcv _ -> Some t | _ -> None)
-      (Gcs_core.Timed.actions result.Gcs_sim.Engine.trace)
-  in
-  Alcotest.(check (option (float 0.0))) "first delivery at the deferred launch"
-    (Some delay) first_gprcv
 
 (* Ring topology, including the wrap at the largest member and the
    invariant error on a corrupt (empty) view. *)
@@ -302,7 +281,5 @@ let () =
             test_token_heartbeat_without_spin;
           Alcotest.test_case "launches bounded by sends" `Quick
             test_launches_bounded_by_sends;
-          Alcotest.test_case "wants absorbed by deferred launch" `Quick
-            test_wants_absorbed_by_deferred_first_launch;
         ] );
     ]
