@@ -6,7 +6,14 @@
     stays valid — tapes behave as immutable values and are safe to keep
     in automaton states that are snapshotted, compared, hashed or
     explored. Reads ([get]/[nth1]) are O(1), and dropping a prefix is a
-    cursor move, not a copy.
+    cursor move, not a copy; a drop that empties the tape returns a
+    fresh [empty ()], so the dropped values do not stay reachable.
+
+    Growth copies the buffer ([Array.append], [Array.sub]) and never
+    fills a new one with the appended value: in OCaml 5.1 an
+    [Array.make] of more than 256 slots with a young fill empties the
+    minor heap first, and every minor collection stops all running
+    domains, so on the bus it would stall every node.
 
     Buffers are never shared between tapes built from separate [empty]
     or [of_list] calls, so states created inside different domains do
@@ -32,11 +39,11 @@ val nth1 : 'a t -> int -> 'a option
 val first : 'a t -> 'a option
 
 val rest : 'a t -> 'a t
-(** Drop the first element (cursor move). Raises [Invalid_argument] on an
-    empty tape. *)
+(** [drop 1]. Raises [Invalid_argument] on an empty tape. *)
 
 val drop : int -> 'a t -> 'a t
-(** Drop the first [n] elements (all of them if the tape is shorter). *)
+(** Drop the first [n] elements (all of them if the tape is shorter;
+    then the result is a fresh [empty ()]). *)
 
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val iter : ('a -> unit) -> 'a t -> unit

@@ -564,6 +564,41 @@ let test_burst_drain_allocation () =
     Alcotest.failf "%.0f minor words per client delivery (bound 500)"
       per_delivery
 
+(* One [burst] node's handler work, as test/domain_scaling.ml runs it:
+   2,500 client values taken and flushed as one batch. On a bus each node
+   runs in a domain of its own, and every minor collection stops them
+   all, so the node may take none that its allocation does not explain. *)
+let test_burst_node_forces_no_collection () =
+  let procs = Proc.all ~n:3 in
+  let config =
+    To_service.make_config ~batch_window:0.02
+      { Vs_node.procs; p0 = procs; pi = 0.15; mu = 1e6; delta = 5.0 }
+  in
+  let h = To_service.handlers config in
+  let node, _ = h.on_start 0 (To_service.initial config 0) in
+  let flush = ref None in
+  let staged, flushed =
+    Gc_bound.unforced "burst node" (fun () ->
+        let node = ref node in
+        for k = 0 to 2_499 do
+          let value = Printf.sprintf "0.%d:%s" k (String.make 64 'x') in
+          let node', effects = h.on_input 0 ~now:0.0 value !node in
+          node := node';
+          List.iter
+            (function
+              | Gcs_sim.Engine.Set_timer { id; _ } -> flush := Some id
+              | _ -> ())
+            effects
+        done;
+        match !flush with
+        | Some id -> (!node, fst (h.on_timer 0 ~now:0.02 ~id !node))
+        | None -> Alcotest.fail "no flush timer armed")
+  in
+  Alcotest.(check bool) "values were staged" true
+    (List.length (To_service.node_staging staged) > 2_000);
+  Alcotest.(check int) "the flush takes them all" 0
+    (List.length (To_service.node_staging flushed))
+
 let () =
   Alcotest.run "end_to_end"
     [
@@ -605,6 +640,8 @@ let () =
         [
           Alcotest.test_case "burst drain allocation" `Quick
             test_burst_drain_allocation;
+          Alcotest.test_case "burst node forces no collection" `Quick
+            test_burst_node_forces_no_collection;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_failures_preserve_to ] );

@@ -169,7 +169,70 @@ let test_tape_persistence () =
   Alcotest.(check (list int)) "suffix slice" [ 2; 3 ] (Tape.to_list d);
   Alcotest.(check (list int)) "suffix extension" [ 2; 3; 4 ] (Tape.to_list d');
   Alcotest.(check (list int)) "origin of suffix intact" [ 1; 2; 3 ]
-    (Tape.to_list t3)
+    (Tape.to_list t3);
+  (* Growth copies: an older slice reads the same after the frontier
+     outgrows the buffer they share, and after a diverging snoc. *)
+  let old = Tape.of_list (List.init 8 Fun.id) in
+  let grown = Tape.append old (List.init 600 (fun i -> 100 + i)) in
+  let diverged = Tape.snoc old 99 in
+  Alcotest.(check (list int)) "older slice after growth and divergence"
+    (List.init 8 Fun.id) (Tape.to_list old);
+  Alcotest.(check (list int)) "diverged slice" (List.init 8 Fun.id @ [ 99 ])
+    (Tape.to_list diverged);
+  Alcotest.(check (list int)) "grown slice"
+    (List.init 8 Fun.id @ List.init 600 (fun i -> 100 + i))
+    (Tape.to_list grown)
+
+(* Growing a buffer, at the frontier or by diverging from an older slice,
+   must not empty the minor heap, whatever the appended value. *)
+let test_tape_growth_forces_no_collection () =
+  let n = 100_000 in
+  let older = ref [] in
+  let t =
+    Gc_bound.unforced "frontier growth" (fun () ->
+        let t = ref (Tape.empty ()) in
+        for i = 1 to n do
+          t := Tape.snoc !t (ref i);
+          if i mod 10_000 = 5_000 then older := !t :: !older
+        done;
+        !t)
+  in
+  let d =
+    Gc_bound.unforced "diverging growth" (fun () ->
+        List.iter (fun s -> ignore (Tape.snoc s (ref 0))) !older;
+        let d = ref (List.nth !older 0) in
+        for i = 1 to n do
+          d := Tape.snoc !d (ref i)
+        done;
+        !d)
+  in
+  Alcotest.(check int) "frontier length" n (Tape.length t);
+  Alcotest.(check int) "diverged length" (n + 95_000) (Tape.length d);
+  Alcotest.(check int) "diverged reads its own values" 1 !(Tape.get d 95_000)
+
+(* A drop that empties a tape lets go of its buffer, so the values it
+   dropped can be collected while the empty tape lives on. *)
+let test_tape_drop_releases () =
+  let w = Weak.create 2 in
+  let filled slot k =
+    let t = ref (Tape.empty ()) in
+    for i = 1 to k do
+      let v = ref i in
+      if i = 1 then Weak.set w slot (Some v);
+      t := Tape.snoc !t v
+    done;
+    !t
+  in
+  let dropped = Tape.drop 10 (filled 0 10) in
+  let rested = Tape.rest (filled 1 1) in
+  Gc.full_major ();
+  Alcotest.(check bool) "drop of everything" false (Weak.check w 0);
+  Alcotest.(check bool) "rest of one" false (Weak.check w 1);
+  let dropped = Sys.opaque_identity dropped
+  and rested = Sys.opaque_identity rested in
+  Alcotest.(check int) "emptied tapes still extend" 2
+    (Tape.length (Tape.snoc dropped (ref 0))
+    + Tape.length (Tape.snoc rested (ref 0)))
 
 let test_tape_equal () =
   let a = Tape.of_list [ 1; 2; 3 ] and b = Tape.append (Tape.empty ()) [ 1; 2; 3 ] in
@@ -522,6 +585,10 @@ let () =
           Alcotest.test_case "basics" `Quick test_tape_basics;
           Alcotest.test_case "persistence" `Quick test_tape_persistence;
           Alcotest.test_case "equal" `Quick test_tape_equal;
+          Alcotest.test_case "growth forces no collection" `Quick
+            test_tape_growth_forces_no_collection;
+          Alcotest.test_case "drop releases the buffer" `Quick
+            test_tape_drop_releases;
         ] );
       ( "metrics",
         [
